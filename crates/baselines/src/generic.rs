@@ -17,7 +17,6 @@
 //! [`Compiler`] trait.
 
 use crate::passes::{AsapSchedulePass, OrderedRoutingPass, PlacementPass};
-use crate::result::BaselineResult;
 use twoqan::pipeline::{ensure_fits, CompilationContext, CompiledOutput, Compiler, PassManager};
 use twoqan::{CompileError, DecomposePass, UnifyPass};
 use twoqan_circuit::Circuit;
@@ -89,17 +88,6 @@ impl GenericCompiler {
             Box::new(AsapSchedulePass),
             Box::new(DecomposePass),
         ])
-    }
-
-    /// Compiles a circuit onto a device, respecting the input gate order
-    /// and propagating pipeline failures (for instance an oversized
-    /// circuit) as typed errors.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        Compiler::compile(self, circuit, device).map(BaselineResult::from)
     }
 }
 

@@ -20,8 +20,9 @@
 //!   dressed SWAPs).
 //!
 //! All baselines receive the same circuit-unified input as 2QAN (the paper
-//! pre-processes the inputs of Qiskit and t|ket⟩ the same way) and report
-//! their results through the common [`BaselineResult`] type.
+//! pre-processes the inputs of Qiskit and t|ket⟩ the same way) and, like
+//! 2QAN, compile through [`twoqan::Compiler::compile`], which returns the
+//! workspace-wide [`twoqan::CompiledOutput`].
 //!
 //! Every baseline is expressed as a pass pipeline over the shared
 //! `twoqan::pipeline` framework (see [`passes`]) and registered — together
@@ -36,7 +37,6 @@ pub mod nomap;
 pub mod passes;
 pub mod paulihedral;
 pub mod registry;
-pub mod result;
 
 pub use generic::{GenericCompiler, GenericConfig};
 pub use ic_qaoa::IcQaoaCompiler;
@@ -47,4 +47,3 @@ pub use passes::{
 };
 pub use paulihedral::PaulihedralCompiler;
 pub use registry::{CompilerRegistry, RegistryOptions};
-pub use result::BaselineResult;

@@ -6,7 +6,6 @@
 //! topology (§III-D, "Scheduling without dependency").
 
 use crate::passes::ColorSchedulePass;
-use crate::result::BaselineResult;
 use twoqan::pipeline::{ensure_fits, CompilationContext, CompiledOutput, Compiler, PassManager};
 use twoqan::{CompileError, DecomposePass, UnifyPass};
 use twoqan_circuit::{Circuit, Gate, ScheduledCircuit};
@@ -34,31 +33,18 @@ impl NoMapCompiler {
     }
 
     /// Schedules the (circuit-unified) input with graph colouring, assuming
-    /// all-to-all connectivity, and reports metrics for `basis`.
-    pub fn compile(&self, circuit: &Circuit, basis: TwoQubitBasis) -> BaselineResult {
-        self.compile_output(circuit, basis)
-            .expect("the deviceless NoMap pipeline cannot fail")
-            .into()
-    }
-
-    /// Like [`NoMapCompiler::compile`] but returns the full
-    /// [`CompiledOutput`] with the pipeline report.
-    pub fn compile_output(
-        &self,
-        circuit: &Circuit,
-        basis: TwoQubitBasis,
-    ) -> Result<CompiledOutput, CompileError> {
+    /// all-to-all connectivity, and reports metrics for `basis` — the
+    /// deviceless reference.  [`Compiler::compile`] runs the same pipeline
+    /// for a device's native basis.
+    pub fn compile_output(&self, circuit: &Circuit, basis: TwoQubitBasis) -> CompiledOutput {
         let mut ctx = CompilationContext::deviceless(circuit.clone(), basis);
-        let report = self.pipeline().run(&mut ctx)?;
+        let report = self
+            .pipeline()
+            .run(&mut ctx)
+            .expect("the deviceless NoMap pipeline cannot fail");
         // No topology, no routing: the colour-schedule pass installed the
         // identity placement (qubit i stays qubit i).
-        Ok(ctx.into_output(Compiler::name(self), report))
-    }
-
-    /// Convenience: compile against a device's default basis (the topology
-    /// is ignored — that is the point of this baseline).
-    pub fn compile_for_device(&self, circuit: &Circuit, device: &Device) -> BaselineResult {
-        self.compile(circuit, device.default_basis())
+        ctx.into_output(Compiler::name(self), report)
     }
 }
 
@@ -78,7 +64,7 @@ impl Compiler for NoMapCompiler {
         // check the device only contributes its native basis: the topology
         // is ignored, which is the point of this baseline.
         ensure_fits(circuit, device)?;
-        self.compile_output(circuit, device.default_basis())
+        Ok(self.compile_output(circuit, device.default_basis()))
     }
 }
 
@@ -115,7 +101,7 @@ mod tests {
     #[test]
     fn nomap_inserts_no_swaps_and_counts_baseline_gates() {
         let circuit = trotter_step(&nnn_ising(10, 1), 1.0);
-        let r = NoMapCompiler::new().compile(&circuit, TwoQubitBasis::Cnot);
+        let r = NoMapCompiler::new().compile_output(&circuit, TwoQubitBasis::Cnot);
         assert_eq!(r.swap_count(), 0);
         // 2n−3 = 17 ZZ terms, 2 CNOTs each.
         assert_eq!(r.metrics.hardware_two_qubit_count, 34);
@@ -131,7 +117,7 @@ mod tests {
             TwoQubitBasis::ISwap,
             TwoQubitBasis::Cz,
         ] {
-            let r = NoMapCompiler::new().compile(&circuit, basis);
+            let r = NoMapCompiler::new().compile_output(&circuit, basis);
             assert_eq!(r.metrics.hardware_two_qubit_count, 3 * 13, "basis {basis}");
         }
     }
@@ -142,7 +128,7 @@ mod tests {
         // Δ + 1 = 4 two-qubit cycles (usually 3).
         let problem = QaoaProblem::random_regular(12, 3, 4);
         let circuit = problem.circuit(&[(0.6, 0.4)], false);
-        let r = NoMapCompiler::new().compile(&circuit, TwoQubitBasis::Cnot);
+        let r = NoMapCompiler::new().compile_output(&circuit, TwoQubitBasis::Cnot);
         // Greedy colouring of the line graph of a 3-regular graph uses at
         // most 2Δ − 1 = 5 colours; interleaved single-qubit gates can add one
         // more two-qubit-bearing moment.
@@ -153,13 +139,13 @@ mod tests {
     #[test]
     fn device_convenience_uses_native_basis() {
         let circuit = trotter_step(&nnn_ising(6, 3), 1.0);
-        let r = NoMapCompiler::new().compile_for_device(&circuit, &Device::sycamore());
+        let r = Compiler::compile(&NoMapCompiler::new(), &circuit, &Device::sycamore()).unwrap();
         assert_eq!(r.basis, TwoQubitBasis::Syc);
     }
 
     #[test]
     fn empty_circuit_produces_empty_schedule() {
-        let r = NoMapCompiler::new().compile(&Circuit::new(4), TwoQubitBasis::Cnot);
+        let r = NoMapCompiler::new().compile_output(&Circuit::new(4), TwoQubitBasis::Cnot);
         assert_eq!(r.metrics.hardware_two_qubit_count, 0);
         assert_eq!(r.hardware_circuit.depth(), 0);
     }

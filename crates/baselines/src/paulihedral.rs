@@ -19,12 +19,11 @@
 //! QAOA rows.
 
 use crate::generic::{GenericCompiler, GenericConfig};
-use crate::nomap::color_schedule;
-use crate::result::BaselineResult;
-use twoqan::pipeline::{CompiledOutput, Compiler};
-use twoqan::CompileError;
+use crate::passes::ColorSchedulePass;
+use twoqan::pipeline::{CompilationContext, CompiledOutput, Compiler, PassManager};
+use twoqan::{CompileError, DecomposePass};
 use twoqan_circuit::{Circuit, Gate};
-use twoqan_device::Device;
+use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::Hamiltonian;
 
 /// The Paulihedral-style baseline compiler.
@@ -68,30 +67,6 @@ impl PaulihedralCompiler {
         circuit
     }
 
-    /// Compiles a Hamiltonian's single Trotter step onto a
-    /// connectivity-constrained device, propagating pipeline failures as
-    /// typed errors.
-    pub fn compile_hamiltonian(
-        &self,
-        hamiltonian: &Hamiltonian,
-        dt: f64,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        let circuit = self.block_ordered_circuit(hamiltonian, dt);
-        self.compile(&circuit, device)
-    }
-
-    /// Compiles an already-built circuit onto a device using block ordering
-    /// plus order-respecting routing, propagating pipeline failures as
-    /// typed errors.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        self.generic().compile(circuit, device)
-    }
-
     /// Compiles assuming all-to-all connectivity (the Heisenberg rows of
     /// Table III): no SWAPs are needed; the commuting-block parallelism of
     /// Paulihedral is modelled with the same conflict-graph colouring the
@@ -105,19 +80,17 @@ impl PaulihedralCompiler {
         &self,
         hamiltonian: &Hamiltonian,
         dt: f64,
-        basis: twoqan_device::TwoQubitBasis,
-    ) -> BaselineResult {
+        basis: TwoQubitBasis,
+    ) -> CompiledOutput {
         let circuit = self.block_ordered_circuit(hamiltonian, dt);
-        let schedule = color_schedule(&circuit);
-        let metrics = twoqan_circuit::HardwareMetrics::of(&schedule, basis.cost_model());
-        BaselineResult {
-            compiler: "Paulihedral-like".into(),
-            hardware_circuit: schedule,
-            metrics,
-            basis,
-            // All-to-all connectivity: qubit i stays qubit i.
-            initial_placement: Some((0..circuit.num_qubits()).collect()),
-        }
+        let mut ctx = CompilationContext::deviceless(circuit, basis);
+        // All-to-all connectivity: the colour-schedule pass installs the
+        // identity placement (qubit i stays qubit i).
+        let report =
+            PassManager::with_passes(vec![Box::new(ColorSchedulePass), Box::new(DecomposePass)])
+                .run(&mut ctx)
+                .expect("the deviceless colour-schedule pipeline cannot fail");
+        ctx.into_output(Compiler::name(self), report)
     }
 }
 
@@ -138,7 +111,6 @@ impl Compiler for PaulihedralCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_device::TwoQubitBasis;
     use twoqan_ham::{heisenberg_lattice, LatticeDimensions, QaoaProblem};
 
     #[test]

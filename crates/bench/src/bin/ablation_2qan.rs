@@ -14,7 +14,7 @@
 use twoqan::mapping::InitialMappingStrategy;
 use twoqan::routing::RoutingConfig;
 use twoqan::scheduling::SchedulingStrategy;
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_bench::figures::quick_mode;
 use twoqan_bench::report::Table;
 use twoqan_bench::workloads::{Workload, WorkloadKind};
@@ -94,7 +94,7 @@ fn main() {
                 device.name().to_string(),
                 name.to_string(),
                 result.swap_count().to_string(),
-                result.dressed_swap_count().to_string(),
+                result.metrics.dressed_swap_count.to_string(),
                 result.metrics.hardware_two_qubit_count.to_string(),
                 result.metrics.hardware_two_qubit_depth.to_string(),
             ]);

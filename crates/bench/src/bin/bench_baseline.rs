@@ -40,7 +40,7 @@
 //! baseline.
 
 use std::time::Instant;
-use twoqan::{BatchCompiler, BatchJob, TwoQanCompiler, TwoQanConfig};
+use twoqan::{BatchCompiler, BatchJob, Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
 use twoqan_bench::{scaling_device, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
@@ -107,7 +107,7 @@ fn measure(n: usize, samples: usize) -> Entry {
     let mut end_to_end: Vec<f64> = Vec::with_capacity(samples);
     for sample in 0..=samples {
         let t0 = Instant::now();
-        let (_, report) = compiler.compile_with_report(&circuit, &device).unwrap();
+        let report = compiler.compile(&circuit, &device).unwrap().report;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         if sample == 0 {
             // Warm-up run (populates the device distance cache etc.).

@@ -205,8 +205,8 @@ fn deadline_probe() -> (f64, &'static str, bool) {
         ..TwoQanConfig::default()
     };
     let started = Instant::now();
-    let (result, report) = TwoQanCompiler::new(config)
-        .compile_with_report(&circuit, &device)
+    let result = TwoQanCompiler::new(config)
+        .compile(&circuit, &device)
         .expect("deadline-limited compiles degrade instead of failing");
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     let compatible = result.hardware_compatible(&device);
@@ -217,7 +217,7 @@ fn deadline_probe() -> (f64, &'static str, bool) {
     );
     (
         elapsed_ms,
-        report.rung.name(),
+        result.report.rung.name(),
         compatible && structural.is_ok(),
     )
 }

@@ -23,7 +23,7 @@
 //! `BENCHMARKS.md` § Simulation for the schema and how to compare runs.
 
 use std::time::Instant;
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::QaoaProblem;
@@ -194,7 +194,7 @@ fn compiled_qaoa(n: usize, seed: u64) -> (QaoaProblem, ScheduledCircuit, Vec<(us
     // position.
     let mut logical_at: Vec<Option<usize>> = vec![None; device.num_qubits()];
     for l in 0..n {
-        logical_at[result.initial_map.physical(l)] = Some(l);
+        logical_at[result.initial_placement[l]] = Some(l);
     }
     for g in schedule.iter_gates() {
         if g.is_two_qubit() && g.kind.is_swap_like() {

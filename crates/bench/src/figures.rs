@@ -4,8 +4,8 @@ use crate::compilers::{CompilerKind, MetricsRow};
 use crate::report::{format_ratio, write_csv, Table};
 use crate::workloads::{Workload, WorkloadKind};
 use std::collections::BTreeMap;
-use twoqan::{TwoQanCompiler, TwoQanConfig};
-use twoqan_baselines::PaulihedralCompiler;
+use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
+use twoqan_baselines::{NoMapCompiler, PaulihedralCompiler};
 use twoqan_circuit::HardwareMetrics;
 use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::{heisenberg_lattice, LatticeDimensions, QaoaProblem};
@@ -380,7 +380,7 @@ pub fn run_table3() -> Table {
         // On all-to-all connectivity 2QAN reduces to its colouring scheduler
         // over the unified circuit — the NoMap compilation of the same model.
         let circuit = twoqan_ham::trotter_step(&h, 1.0);
-        let q = twoqan_baselines::NoMapCompiler::new().compile(&circuit, TwoQubitBasis::Cnot);
+        let q = NoMapCompiler::new().compile_output(&circuit, TwoQubitBasis::Cnot);
         table.push_row(vec![
             name.into(),
             p.metrics.hardware_two_qubit_count.to_string(),

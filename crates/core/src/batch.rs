@@ -167,7 +167,7 @@ mod tests {
     use super::*;
     use crate::{TwoQanCompiler, TwoQanConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
     use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
 
     fn compiler() -> TwoQanCompiler {
@@ -192,7 +192,7 @@ mod tests {
                 compiler: &compiler,
             })
             .collect();
-        let _census = CENSUS_LOCK.lock().unwrap();
+        let _census = CENSUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let serial = BatchCompiler::new(1).compile_batch(&jobs);
         let parallel = BatchCompiler::new(4).compile_batch(&jobs);
         assert_eq!(serial.len(), jobs.len());
@@ -239,8 +239,8 @@ mod tests {
     /// Serialises the tests that replace the global panic hook.
     static HOOK_LOCK: Mutex<()> = Mutex::new(());
 
-    /// Serialises the tests that spawn pool workers, so the global
-    /// spawned-thread census test observes only its own pools.
+    /// Serialises the tests that spawn pool workers, so they do not
+    /// oversubscribe the machine's cores.
     static CENSUS_LOCK: Mutex<()> = Mutex::new(());
 
     /// A compiler that panics on every call.
@@ -309,8 +309,8 @@ mod tests {
             },
         ];
         // Silence the default panic-hook backtrace noise for the expected panic.
-        let _census = CENSUS_LOCK.lock().unwrap();
-        let _guard = HOOK_LOCK.lock().unwrap();
+        let _census = CENSUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _guard = HOOK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let results = BatchCompiler::new(2).compile_batch(&jobs);
@@ -329,7 +329,7 @@ mod tests {
     fn retry_budget_recovers_transient_failures_and_is_bounded() {
         let device = Device::montreal();
         let circuit = trotter_step(&nnn_ising(6, 1), 1.0);
-        let _guard = HOOK_LOCK.lock().unwrap();
+        let _guard = HOOK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         // Two transient failures + two retries → recovered.
@@ -382,15 +382,15 @@ mod tests {
                 compiler: &compiler,
             })
             .collect();
-        let _census = CENSUS_LOCK.lock().unwrap();
+        let _census = CENSUS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         for threads in [1usize, 2, 4] {
             let batch = BatchCompiler::new(threads);
             // The resolved count is the *request* clamped to cores and jobs;
             // the pool then spawns resolved − 1 threads (caller included).
             let resolved = batch.resolved_threads(jobs.len());
-            let before = twoqan_pool::spawned_thread_census();
-            let results = batch.compile_batch(&jobs);
-            let spawned = twoqan_pool::spawned_thread_census() - before;
+            // Count only the threads this batch spawned: the global census
+            // also sees whatever concurrently running tests spawn.
+            let (results, spawned) = twoqan_pool::count_spawns(|| batch.compile_batch(&jobs));
             assert_eq!(
                 spawned,
                 resolved - 1,

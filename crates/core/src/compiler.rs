@@ -3,19 +3,17 @@
 use crate::budget::CompileBudget;
 use crate::error::CompileError;
 use crate::fault::FaultInjector;
-use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig, QubitMap};
-use crate::passes::{
-    AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass, UnifyPass,
-};
+use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig};
+use crate::passes::{AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass};
 use crate::pipeline::{
     CompilationContext, CompiledOutput, Compiler, DegradationRung, PassManager, PassRecord,
     PipelineReport,
 };
-use crate::routing::{RoutedCircuit, RoutingConfig};
+use crate::routing::RoutingConfig;
 use crate::scheduling::SchedulingStrategy;
 use std::sync::Arc;
-use twoqan_circuit::{Circuit, Gate, GateKind, HardwareMetrics, Moment, ScheduledCircuit};
-use twoqan_device::{Device, TwoQubitBasis};
+use twoqan_circuit::Circuit;
+use twoqan_device::Device;
 use twoqan_graphs::{AnnealingConfig, TabuConfig};
 
 /// Configuration of the 2QAN compiler.
@@ -125,105 +123,6 @@ impl TwoQanConfig {
     }
 }
 
-/// The output of a 2QAN compilation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompilationResult {
-    /// The initial qubit placement `φ_0`.
-    pub initial_map: QubitMap,
-    /// The routing structure (maps, per-map gates, SWAP actions).
-    pub routed: RoutedCircuit,
-    /// The scheduled hardware circuit over physical qubits, still carrying
-    /// application-level unitaries (decomposition is metric-level unless an
-    /// exact circuit is requested).
-    pub hardware_circuit: ScheduledCircuit,
-    /// Gate counts and depths for the device's native basis.
-    pub metrics: HardwareMetrics,
-    /// The native basis the metrics were computed for.
-    pub basis: TwoQubitBasis,
-}
-
-impl CompilationResult {
-    /// Number of inserted SWAPs (plain + dressed).
-    pub fn swap_count(&self) -> usize {
-        self.metrics.swap_count
-    }
-
-    /// Number of SWAPs merged with circuit gates ("2QAN dressed").
-    pub fn dressed_swap_count(&self) -> usize {
-        self.metrics.dressed_swap_count
-    }
-
-    /// Returns `true` if every two-qubit gate of the compiled circuit acts on
-    /// a pair of qubits that are adjacent on `device`.
-    pub fn hardware_compatible(&self, device: &Device) -> bool {
-        self.hardware_circuit
-            .iter_gates()
-            .filter(|g| g.is_two_qubit())
-            .all(|g| device.are_adjacent(g.qubit0(), g.qubit1()))
-    }
-
-    /// Builds the schedule of one additional layer/Trotter step from this
-    /// compiled first step, as the paper does for multi-layer QAOA: even
-    /// layers reuse the compiled circuit with the gate order reversed, odd
-    /// layers reuse it as-is.  The two-qubit interaction coefficients are
-    /// multiplied by `gamma_scale` and single-qubit rotation angles by
-    /// `beta_scale`, so per-layer QAOA parameters can be substituted without
-    /// recompiling.
-    pub fn layer_schedule(
-        &self,
-        gamma_scale: f64,
-        beta_scale: f64,
-        reversed: bool,
-    ) -> ScheduledCircuit {
-        let moments: Vec<Moment> = self.hardware_circuit.moments().to_vec();
-        let iter: Box<dyn Iterator<Item = &Moment>> = if reversed {
-            Box::new(moments.iter().rev())
-        } else {
-            Box::new(moments.iter())
-        };
-        let mut out = ScheduledCircuit::new(self.hardware_circuit.num_qubits());
-        for moment in iter {
-            let mut m = Moment::new();
-            for gate in moment.gates() {
-                let scaled = scale_gate(gate, gamma_scale, beta_scale);
-                let pushed = m.try_push(scaled);
-                debug_assert!(pushed, "scaling preserves qubit disjointness");
-            }
-            out.push_moment(m);
-        }
-        out
-    }
-}
-
-/// Scales the interaction coefficients / rotation angles of a gate (used for
-/// per-layer QAOA parameter substitution).
-fn scale_gate(gate: &Gate, gamma_scale: f64, beta_scale: f64) -> Gate {
-    match gate.kind {
-        GateKind::Canonical { xx, yy, zz } => Gate::two(
-            GateKind::Canonical {
-                xx: xx * gamma_scale,
-                yy: yy * gamma_scale,
-                zz: zz * gamma_scale,
-            },
-            gate.qubit0(),
-            gate.qubit1(),
-        ),
-        GateKind::DressedSwap { xx, yy, zz } => Gate::two(
-            GateKind::DressedSwap {
-                xx: xx * gamma_scale,
-                yy: yy * gamma_scale,
-                zz: zz * gamma_scale,
-            },
-            gate.qubit0(),
-            gate.qubit1(),
-        ),
-        GateKind::Rx(t) => Gate::single(GateKind::Rx(t * beta_scale), gate.qubit0()),
-        GateKind::Ry(t) => Gate::single(GateKind::Ry(t * beta_scale), gate.qubit0()),
-        GateKind::Rz(t) => Gate::single(GateKind::Rz(t * beta_scale), gate.qubit0()),
-        _ => *gate,
-    }
-}
-
 /// The 2QAN compiler.
 #[derive(Debug, Clone, Default)]
 pub struct TwoQanCompiler {
@@ -253,51 +152,62 @@ impl TwoQanCompiler {
         self
     }
 
-    /// The pass pipeline this configuration describes: `[unify,
-    /// qap-mapping, permutation-routing, alap-schedule, decompose]` (the
-    /// unifying pre-pass is dropped when `unify_input` is off).
-    ///
-    /// [`TwoQanCompiler::compile_with_report`] hoists the deterministic
-    /// unify pre-pass out of its mapping-trial loop; this method returns
-    /// the full conceptual pipeline for introspection and one-shot runs.
-    pub fn pipeline(&self) -> PassManager {
-        let mut passes: Vec<Box<dyn crate::pipeline::Pass>> = Vec::with_capacity(5);
-        if self.config.unify_input {
-            passes.push(Box::new(UnifyPass));
+    /// The pass list of one pipeline run: `[qap-mapping,
+    /// permutation-routing, alap-schedule, decompose]`, with mapping and
+    /// routing under `cost` and the placement found by `strategy`.  The
+    /// unifying pre-pass is not part of it: [`Compiler::compile`] runs it
+    /// once, up front, for every run of the portfolio.
+    fn pipeline(&self, cost: CostModel, strategy: InitialMappingStrategy) -> PassManager {
+        PassManager::with_passes(vec![
+            Box::new(QapMappingPass::new(MappingConfig {
+                strategy,
+                cost,
+                ..self.config.mapping_config()
+            })),
+            Box::new(PermutationRoutingPass::new(RoutingConfig {
+                cost,
+                ..self.config.routing_config()
+            })),
+            Box::new(AlapSchedulePass::new(self.config.scheduling)),
+            Box::new(DecomposePass),
+        ])
+    }
+
+    /// The bottom rung of the degradation ladder: identity placement,
+    /// hop-count routing and scheduling — no iterative search anywhere, so
+    /// it terminates regardless of how little budget remains.  Runs under
+    /// the compiler's fault injector (if any) so chaos runs exercise the
+    /// fallback path too.
+    fn trivial_fallback(
+        &self,
+        prepared: &Circuit,
+        device: &Device,
+    ) -> Result<CompiledOutput, CompileError> {
+        let pipeline = self.pipeline(CostModel::HopCount, InitialMappingStrategy::Trivial);
+        let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
+        ctx.faults = self.faults.clone();
+        let report = pipeline.run(&mut ctx)?;
+        Ok(ctx.into_output(Compiler::name(self), report))
+    }
+}
+
+impl Compiler for TwoQanCompiler {
+    fn name(&self) -> &'static str {
+        match self.config.cost_model {
+            CostModel::HopCount => "2QAN",
+            CostModel::CalibrationAware => "2QAN-noise",
         }
-        passes.push(Box::new(QapMappingPass::new(self.config.mapping_config())));
-        passes.push(Box::new(PermutationRoutingPass::new(
-            self.config.routing_config(),
-        )));
-        passes.push(Box::new(AlapSchedulePass::new(self.config.scheduling)));
-        passes.push(Box::new(DecomposePass));
-        PassManager::with_passes(passes)
     }
 
     /// Compiles one Trotter step / QAOA layer onto a device.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-    /// the device, and propagates routing failures (which do not occur on
-    /// connected devices).
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<CompilationResult, CompileError> {
-        self.compile_with_report(circuit, device)
-            .map(|(result, _)| result)
-    }
-
-    /// Compiles like [`TwoQanCompiler::compile`] and also returns the
-    /// per-pass [`PipelineReport`].  The pipeline is run once per mapping
-    /// trial (each with its own seed) and the result with the fewest SWAPs
-    /// (then fewest hardware gates, then lowest depth) is kept; the report
-    /// sums wall-clock per pass over all trials and snapshots gate/depth
-    /// from the winning trial.  The deterministic unifying pre-pass is
-    /// hoisted out of the trial loop (it would produce the same circuit
-    /// every trial), so its report entry is a single measurement.
+    /// The pipeline is run once per mapping trial (each with its own seed)
+    /// and the result with the fewest SWAPs (then fewest hardware gates,
+    /// then lowest depth) is kept; the report sums wall-clock per pass over
+    /// all trials and snapshots gate/depth from the winning trial.  The
+    /// deterministic unifying pre-pass is hoisted out of the trial loop (it
+    /// would produce the same circuit every trial), so its report entry is a
+    /// single measurement.
     ///
     /// Under a limited [`CompileBudget`] the planned portfolio degrades
     /// along an explicit ladder instead of erroring: the budget is checked
@@ -308,11 +218,13 @@ impl TwoQanCompiler {
     /// every run failed), a trivial-placement + routing fallback that always
     /// terminates produces the result.  The report records the rung that
     /// ran, the configured deadline and the budget actually consumed.
-    pub fn compile_with_report(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<(CompilationResult, PipelineReport), CompileError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
+    /// the device, and the first pipeline failure if neither the portfolio
+    /// nor the fallback produced a result.
+    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
         // Provision a dedicated worker pool when the config asks for one and
         // none is installed yet; an installed pool (e.g. the batch driver's)
         // always wins so nested compiles never over-spawn.  The guard is
@@ -362,36 +274,23 @@ impl TwoQanCompiler {
         // and degenerates exactly.)
         let error_aware =
             self.config.cost_model == CostModel::CalibrationAware && !device.target().is_uniform();
-        let pipeline_for = |cost: CostModel| {
-            PassManager::with_passes(vec![
-                Box::new(QapMappingPass::new(MappingConfig {
-                    cost,
-                    ..self.config.mapping_config()
-                })) as Box<dyn crate::pipeline::Pass>,
-                Box::new(PermutationRoutingPass::new(RoutingConfig {
-                    cost,
-                    ..self.config.routing_config()
-                })),
-                Box::new(AlapSchedulePass::new(self.config.scheduling)),
-                Box::new(DecomposePass),
-            ])
-        };
-        let pipelines: Vec<PassManager> = if error_aware {
-            vec![
-                pipeline_for(CostModel::HopCount),
-                pipeline_for(CostModel::CalibrationAware),
-            ]
+        let costs = if error_aware {
+            vec![CostModel::HopCount, CostModel::CalibrationAware]
         } else {
-            vec![pipeline_for(self.config.cost_model)]
+            vec![self.config.cost_model]
         };
-        let legacy_rank = |r: &CompilationResult| {
+        let pipelines: Vec<PassManager> = costs
+            .into_iter()
+            .map(|cost| self.pipeline(cost, self.config.mapping_strategy))
+            .collect();
+        let legacy_rank = |o: &CompiledOutput| {
             (
-                r.metrics.swap_count,
-                r.metrics.hardware_two_qubit_count,
-                r.metrics.hardware_two_qubit_depth,
+                o.metrics.swap_count,
+                o.metrics.hardware_two_qubit_count,
+                o.metrics.hardware_two_qubit_depth,
             )
         };
-        let mut best: Option<(CompilationResult, f64)> = None;
+        let mut best: Option<(CompiledOutput, f64)> = None;
         let mut report = PipelineReport::default();
         let planned = trials * pipelines.len();
         let mut completed = 0usize;
@@ -428,17 +327,7 @@ impl TwoQanCompiler {
                 };
                 completed += 1;
                 let timeline = ctx.timeline.take();
-                let candidate = CompilationResult {
-                    initial_map: ctx
-                        .initial_layout
-                        .expect("the mapping pass sets the initial layout"),
-                    routed: ctx
-                        .routed
-                        .expect("the routing pass sets the routed circuit"),
-                    hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
-                    metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
-                    basis: ctx.basis,
-                };
+                let candidate = ctx.into_output(Compiler::name(self), trial_report);
                 // Trial selection: fewest SWAPs (then gates, then depth) as
                 // in the paper; the error-aware portfolio ranks by ESP
                 // first so the kept candidate is the one likeliest to
@@ -466,26 +355,24 @@ impl TwoQanCompiler {
                         }
                     }
                 };
-                report.absorb_trial(&trial_report, better);
+                report.absorb_trial(&candidate.report, better);
                 if better {
                     best = Some((candidate, esp));
                 }
             }
         }
-        let mut best = best.map(|(candidate, _)| candidate);
-        let mut rung = if completed == planned {
-            DegradationRung::Full
-        } else {
-            DegradationRung::SinglePipeline
-        };
-        if best.is_none() {
+        let (mut output, rung) = match best {
+            Some((candidate, _)) if completed == planned => (candidate, DegradationRung::Full),
+            Some((candidate, _)) => (candidate, DegradationRung::SinglePipeline),
             // Bottom rung: trivial placement + routing, no iterative search.
-            rung = DegradationRung::TrivialFallback;
-            match self.trivial_fallback(&prepared, device, &mut report) {
-                Ok(result) => best = Some(result),
+            None => match self.trivial_fallback(&prepared, device) {
+                Ok(fallback) => {
+                    report.absorb_trial(&fallback.report, true);
+                    (fallback, DegradationRung::TrivialFallback)
+                }
                 Err(fallback_err) => return Err(first_error.unwrap_or(fallback_err)),
-            }
-        }
+            },
+        };
         if let Some(record) = unify_record {
             report.total_ms += record.wall_ms;
             report.passes.insert(0, record);
@@ -493,73 +380,8 @@ impl TwoQanCompiler {
         report.rung = rung;
         report.deadline_ms = self.config.budget.deadline.map(|d| d.as_secs_f64() * 1e3);
         report.budget_consumed_ms = armed.consumed().as_secs_f64() * 1e3;
-        Ok((
-            best.expect("portfolio or fallback produced a result"),
-            report,
-        ))
-    }
-
-    /// The bottom rung of the degradation ladder: identity placement,
-    /// hop-count routing and scheduling — no iterative search anywhere, so
-    /// it terminates regardless of how little budget remains.  Runs under
-    /// the compiler's fault injector (if any) so chaos runs exercise the
-    /// fallback path too.
-    fn trivial_fallback(
-        &self,
-        prepared: &Circuit,
-        device: &Device,
-        report: &mut PipelineReport,
-    ) -> Result<CompilationResult, CompileError> {
-        let pipeline = PassManager::with_passes(vec![
-            Box::new(QapMappingPass::new(MappingConfig {
-                strategy: InitialMappingStrategy::Trivial,
-                cost: CostModel::HopCount,
-                ..self.config.mapping_config()
-            })) as Box<dyn crate::pipeline::Pass>,
-            Box::new(PermutationRoutingPass::new(RoutingConfig {
-                cost: CostModel::HopCount,
-                ..self.config.routing_config()
-            })),
-            Box::new(AlapSchedulePass::new(self.config.scheduling)),
-            Box::new(DecomposePass),
-        ]);
-        let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
-        ctx.faults = self.faults.clone();
-        let fallback_report = pipeline.run(&mut ctx)?;
-        report.absorb_trial(&fallback_report, true);
-        Ok(CompilationResult {
-            initial_map: ctx
-                .initial_layout
-                .expect("the mapping pass sets the initial layout"),
-            routed: ctx
-                .routed
-                .expect("the routing pass sets the routed circuit"),
-            hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
-            metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
-            basis: ctx.basis,
-        })
-    }
-}
-
-impl Compiler for TwoQanCompiler {
-    fn name(&self) -> &'static str {
-        match self.config.cost_model {
-            CostModel::HopCount => "2QAN",
-            CostModel::CalibrationAware => "2QAN-noise",
-        }
-    }
-
-    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
-        let (result, report) = self.compile_with_report(circuit, device)?;
-        Ok(CompiledOutput {
-            compiler: Compiler::name(self),
-            initial_placement: result.initial_map.assignment().to_vec(),
-            final_placement: Some(result.routed.final_map().assignment().to_vec()),
-            hardware_circuit: result.hardware_circuit,
-            metrics: result.metrics,
-            basis: result.basis,
-            report,
-        })
+        output.report = report;
+        Ok(output)
     }
 
     fn cache_fingerprint(&self) -> u64 {
@@ -595,9 +417,11 @@ impl Compiler for TwoQanCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twoqan_circuit::{Gate, GateKind};
+    use twoqan_device::TwoQubitBasis;
     use twoqan_ham::{nnn_heisenberg, nnn_ising, nnn_xy, trotter_step, QaoaProblem};
 
-    fn compile(circuit: &Circuit, device: &Device) -> CompilationResult {
+    fn compile(circuit: &Circuit, device: &Device) -> CompiledOutput {
         TwoQanCompiler::new(TwoQanConfig {
             mapping_trials: 2,
             ..TwoQanConfig::default()
@@ -624,7 +448,7 @@ mod tests {
                 assert_eq!(
                     result.metrics.application_two_qubit_count,
                     circuit.unify_same_pair_gates().two_qubit_gate_count() + result.swap_count()
-                        - result.dressed_swap_count()
+                        - result.metrics.dressed_swap_count
                 );
             }
         }
@@ -638,7 +462,7 @@ mod tests {
         let result = compile(&circuit, &device);
         assert!(result.hardware_compatible(&device));
         assert!(result.swap_count() > 0);
-        assert!(result.dressed_swap_count() <= result.swap_count());
+        assert!(result.metrics.dressed_swap_count <= result.swap_count());
         assert_eq!(result.basis, TwoQubitBasis::Cnot);
     }
 
@@ -746,7 +570,10 @@ mod tests {
         })
         .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(stock, budgeted);
+        assert_eq!(stock.hardware_circuit, budgeted.hardware_circuit);
+        assert_eq!(stock.metrics, budgeted.metrics);
+        assert_eq!(stock.initial_placement, budgeted.initial_placement);
+        assert_eq!(stock.final_placement, budgeted.final_placement);
     }
 
     #[test]
@@ -754,20 +581,18 @@ mod tests {
         use std::time::Duration;
         let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
         let device = Device::montreal();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::with_deadline(Duration::ZERO),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
+        let report = &result.report;
         assert_eq!(report.rung, DegradationRung::TrivialFallback);
         assert_eq!(report.deadline_ms, Some(0.0));
         assert!(result.hardware_compatible(&device));
         // The fallback starts from the identity placement.
-        assert_eq!(
-            result.initial_map.assignment(),
-            &(0..10).collect::<Vec<_>>()[..]
-        );
+        assert_eq!(result.initial_placement, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -777,12 +602,13 @@ mod tests {
         let device = Device::montreal();
         let token = CancelToken::new();
         token.cancel();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::unlimited().with_cancel_token(token),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
+        let report = &result.report;
         assert_eq!(report.rung, DegradationRung::TrivialFallback);
         assert_eq!(report.deadline_ms, None);
         assert!(result.hardware_compatible(&device));
@@ -793,12 +619,13 @@ mod tests {
         use std::time::Duration;
         let circuit = trotter_step(&nnn_heisenberg(8, 7), 1.0);
         let device = Device::montreal();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::with_deadline(Duration::from_secs(600)),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
+        let report = &result.report;
         assert_eq!(report.rung, DegradationRung::Full);
         assert!(report.budget_consumed_ms > 0.0);
         assert!(result.hardware_compatible(&device));
@@ -817,13 +644,14 @@ mod tests {
             error_probability: 0.35,
             ..FaultConfig::default()
         }));
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             mapping_trials: 4,
             ..TwoQanConfig::default()
         })
         .with_fault_injector(Arc::clone(&injector))
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
+        let report = &result.report;
         assert!(injector.counts().errors > 0, "no fault ever fired");
         assert_ne!(report.rung, DegradationRung::Full);
         assert!(result.hardware_compatible(&device));

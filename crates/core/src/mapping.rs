@@ -19,8 +19,7 @@ use rand::Rng;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_graphs::{
-    simulated_annealing_budgeted, simulated_annealing_warm_budgeted, tabu_search_budgeted,
-    tabu_search_warm_budgeted, AnnealingConfig, QapProblem, TabuConfig, WarmStart,
+    simulated_annealing_with, tabu_search_with, AnnealingConfig, QapProblem, TabuConfig, WarmStart,
 };
 
 /// The distance cost model the mapping and routing passes optimise.
@@ -185,54 +184,19 @@ pub enum InitialMappingStrategy {
     Trivial,
 }
 
-/// Finds an initial qubit placement for `circuit` on `device` using
-/// `strategy` with default solver parameters.
+/// Finds an initial qubit placement for `circuit` on `device` under a
+/// cooperative budget.
+///
+/// With [`SolverBudget::unlimited`] the solvers run to completion.  Under a
+/// limited budget they stop at their next sweep boundary and return their
+/// best-so-far placement — the result is always a valid placement (anytime
+/// semantics), never an expiry error.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
 /// the device.
 pub fn initial_mapping<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: InitialMappingStrategy,
-    rng: &mut R,
-) -> Result<QubitMap, CompileError> {
-    initial_mapping_with(
-        circuit,
-        device,
-        &MappingConfig::with_strategy(strategy),
-        rng,
-    )
-}
-
-/// Finds an initial qubit placement with explicit solver parameters.
-///
-/// # Errors
-///
-/// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-/// the device.
-pub fn initial_mapping_with<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    device: &Device,
-    config: &MappingConfig,
-    rng: &mut R,
-) -> Result<QubitMap, CompileError> {
-    initial_mapping_budgeted(circuit, device, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Finds an initial qubit placement under a cooperative budget.
-///
-/// Identical to [`initial_mapping_with`] for an unlimited budget.  Under a
-/// limited budget the QAP solvers stop at their next sweep boundary and
-/// return their best-so-far placement — the result is always a valid
-/// placement (anytime semantics), never an expiry error.
-///
-/// # Errors
-///
-/// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-/// the device.
-pub fn initial_mapping_budgeted<R: Rng + ?Sized>(
     circuit: &Circuit,
     device: &Device,
     config: &MappingConfig,
@@ -271,25 +235,17 @@ pub fn initial_mapping_budgeted<R: Rng + ?Sized>(
     let map = match config.strategy {
         InitialMappingStrategy::Trivial => QubitMap::identity(n, m),
         InitialMappingStrategy::TabuSearch => {
-            let result = match &warm {
-                Some(warm) => {
-                    tabu_search_warm_budgeted(&padded_qap(), &config.tabu, warm, budget, rng)
-                }
-                None => tabu_search_budgeted(&padded_qap(), &config.tabu, budget, rng),
-            };
+            let result = tabu_search_with(&padded_qap(), &config.tabu, budget, warm.as_ref(), rng);
             QubitMap::from_assignment(&result.assignment[..n], m)
         }
         InitialMappingStrategy::SimulatedAnnealing => {
-            let result = match &warm {
-                Some(warm) => simulated_annealing_warm_budgeted(
-                    &padded_qap(),
-                    &config.annealing,
-                    warm,
-                    budget,
-                    rng,
-                ),
-                None => simulated_annealing_budgeted(&padded_qap(), &config.annealing, budget, rng),
-            };
+            let result = simulated_annealing_with(
+                &padded_qap(),
+                &config.annealing,
+                budget,
+                warm.as_ref(),
+                rng,
+            );
             QubitMap::from_assignment(&result.assignment[..n], m)
         }
     };
@@ -376,7 +332,8 @@ mod tests {
         let map = initial_mapping(
             &circuit,
             &device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::with_strategy(InitialMappingStrategy::TabuSearch),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();
@@ -392,7 +349,8 @@ mod tests {
         let sa = initial_mapping(
             &circuit,
             &device,
-            InitialMappingStrategy::SimulatedAnnealing,
+            &MappingConfig::with_strategy(InitialMappingStrategy::SimulatedAnnealing),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();
@@ -404,8 +362,14 @@ mod tests {
             (4.0..=6.0).contains(&sa_cost),
             "unexpected SA cost {sa_cost}"
         );
-        let trivial =
-            initial_mapping(&circuit, &device, InitialMappingStrategy::Trivial, &mut rng).unwrap();
+        let trivial = initial_mapping(
+            &circuit,
+            &device,
+            &MappingConfig::with_strategy(InitialMappingStrategy::Trivial),
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(mapping_cost(&trivial, &circuit, &device), 4.0);
     }
 
@@ -424,7 +388,14 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &cheap, &mut rng).unwrap();
+        let map = initial_mapping(
+            &circuit,
+            &device,
+            &cheap,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(map.num_logical(), 6);
         // A generous budget reaches the optimum.
         let thorough = MappingConfig {
@@ -436,7 +407,14 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &thorough, &mut rng).unwrap();
+        let map = initial_mapping(
+            &circuit,
+            &device,
+            &thorough,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(mapping_cost(&map, &circuit, &device), 5.0);
         // Annealing restarts plumb through as well.
         let sa = MappingConfig {
@@ -448,7 +426,8 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &sa, &mut rng).unwrap();
+        let map =
+            initial_mapping(&circuit, &device, &sa, &SolverBudget::unlimited(), &mut rng).unwrap();
         assert!(mapping_cost(&map, &circuit, &device) >= 5.0);
     }
 
@@ -464,8 +443,22 @@ mod tests {
         };
         let mut rng_a = StdRng::seed_from_u64(17);
         let mut rng_b = StdRng::seed_from_u64(17);
-        let a = initial_mapping_with(&circuit, &device, &hop, &mut rng_a).unwrap();
-        let b = initial_mapping_with(&circuit, &device, &aware, &mut rng_b).unwrap();
+        let a = initial_mapping(
+            &circuit,
+            &device,
+            &hop,
+            &SolverBudget::unlimited(),
+            &mut rng_a,
+        )
+        .unwrap();
+        let b = initial_mapping(
+            &circuit,
+            &device,
+            &aware,
+            &SolverBudget::unlimited(),
+            &mut rng_b,
+        )
+        .unwrap();
         assert_eq!(a, b, "uniform target must reproduce the hop-count map");
     }
 
@@ -527,7 +520,14 @@ mod tests {
                 ..MappingConfig::default()
             };
             let mut rng = StdRng::seed_from_u64(99);
-            let map = initial_mapping_with(&circuit, &device, &config, &mut rng).unwrap();
+            let map = initial_mapping(
+                &circuit,
+                &device,
+                &config,
+                &SolverBudget::unlimited(),
+                &mut rng,
+            )
+            .unwrap();
             let cost = mapping_cost(&map, &circuit, &device);
             assert!(
                 cost <= seed_cost,
@@ -554,8 +554,22 @@ mod tests {
             };
             let mut rng_a = StdRng::seed_from_u64(13);
             let mut rng_b = StdRng::seed_from_u64(13);
-            let a = initial_mapping_with(&circuit, &device, &cold, &mut rng_a).unwrap();
-            let b = initial_mapping_with(&circuit, &device, &warm, &mut rng_b).unwrap();
+            let a = initial_mapping(
+                &circuit,
+                &device,
+                &cold,
+                &SolverBudget::unlimited(),
+                &mut rng_a,
+            )
+            .unwrap();
+            let b = initial_mapping(
+                &circuit,
+                &device,
+                &warm,
+                &SolverBudget::unlimited(),
+                &mut rng_b,
+            )
+            .unwrap();
             assert_eq!(a, b, "an unusable seed must not change the result");
         }
     }
@@ -568,7 +582,8 @@ mod tests {
         let map = initial_mapping(
             &circuit,
             &device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::with_strategy(InitialMappingStrategy::TabuSearch),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();
@@ -588,7 +603,8 @@ mod tests {
         let err = initial_mapping(
             &circuit,
             &device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::with_strategy(InitialMappingStrategy::TabuSearch),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap_err();
@@ -619,7 +635,7 @@ mod tests {
             InitialMappingStrategy::Trivial,
         ] {
             let mut rng = StdRng::seed_from_u64(5);
-            let map = initial_mapping_budgeted(
+            let map = initial_mapping(
                 &circuit,
                 &device,
                 &MappingConfig::with_strategy(strategy),
@@ -636,18 +652,24 @@ mod tests {
     fn unlimited_budget_reproduces_the_unbudgeted_mapping() {
         let circuit = chain_circuit(6);
         let device = Device::grid(2, 3, TwoQubitBasis::Cnot);
-        let config = MappingConfig::default();
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
-        let plain = initial_mapping_with(&circuit, &device, &config, &mut rng_a).unwrap();
-        let budgeted = initial_mapping_budgeted(
+        let budgeted = initial_mapping(
             &circuit,
             &device,
-            &config,
+            &MappingConfig::default(),
             &SolverBudget::unlimited(),
-            &mut rng_b,
+            &mut rng_a,
         )
         .unwrap();
-        assert_eq!(plain, budgeted);
+        // The same padded QAP solved by the budget-free solver shorthand.
+        let m = device.num_qubits();
+        let qap =
+            QapProblem::from_interactions(m, &circuit.interaction_pairs(), device.distances());
+        let plain = twoqan_graphs::tabu_search(&qap, &TabuConfig::default(), &mut rng_b);
+        assert_eq!(
+            budgeted.assignment(),
+            &plain.assignment[..circuit.num_qubits()]
+        );
     }
 }

@@ -25,7 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
-use twoqan_circuit::{Circuit, Gate, HardwareMetrics, ScheduledCircuit, Timeline};
+use twoqan_circuit::{
+    Circuit, Gate, GateKind, HardwareMetrics, Moment, ScheduledCircuit, Timeline,
+};
 use twoqan_device::{Device, TwoQubitBasis};
 
 /// The shared state a [`PassManager`] threads through its passes.
@@ -442,6 +444,66 @@ impl CompiledOutput {
             .filter(|g| g.is_two_qubit())
             .all(|g| device.are_adjacent(g.qubit0(), g.qubit1()))
     }
+
+    /// Builds the schedule of one additional layer/Trotter step from this
+    /// compiled first step, as the paper does for multi-layer QAOA: even
+    /// layers reuse the compiled circuit with the gate order reversed, odd
+    /// layers reuse it as-is.  The two-qubit interaction coefficients are
+    /// multiplied by `gamma_scale` and single-qubit rotation angles by
+    /// `beta_scale`, so per-layer QAOA parameters can be substituted without
+    /// recompiling.
+    pub fn layer_schedule(
+        &self,
+        gamma_scale: f64,
+        beta_scale: f64,
+        reversed: bool,
+    ) -> ScheduledCircuit {
+        let moments = self.hardware_circuit.moments();
+        let ordered: Box<dyn Iterator<Item = &Moment>> = if reversed {
+            Box::new(moments.iter().rev())
+        } else {
+            Box::new(moments.iter())
+        };
+        let mut out = ScheduledCircuit::new(self.hardware_circuit.num_qubits());
+        for moment in ordered {
+            let mut m = Moment::new();
+            for gate in moment.gates() {
+                let pushed = m.try_push(scale_gate(gate, gamma_scale, beta_scale));
+                debug_assert!(pushed, "scaling preserves qubit disjointness");
+            }
+            out.push_moment(m);
+        }
+        out
+    }
+}
+
+/// Scales the interaction coefficients / rotation angles of a gate (used for
+/// per-layer QAOA parameter substitution).
+fn scale_gate(gate: &Gate, gamma_scale: f64, beta_scale: f64) -> Gate {
+    match gate.kind {
+        GateKind::Canonical { xx, yy, zz } => Gate::two(
+            GateKind::Canonical {
+                xx: xx * gamma_scale,
+                yy: yy * gamma_scale,
+                zz: zz * gamma_scale,
+            },
+            gate.qubit0(),
+            gate.qubit1(),
+        ),
+        GateKind::DressedSwap { xx, yy, zz } => Gate::two(
+            GateKind::DressedSwap {
+                xx: xx * gamma_scale,
+                yy: yy * gamma_scale,
+                zz: zz * gamma_scale,
+            },
+            gate.qubit0(),
+            gate.qubit1(),
+        ),
+        GateKind::Rx(t) => Gate::single(GateKind::Rx(t * beta_scale), gate.qubit0()),
+        GateKind::Ry(t) => Gate::single(GateKind::Ry(t * beta_scale), gate.qubit0()),
+        GateKind::Rz(t) => Gate::single(GateKind::Rz(t * beta_scale), gate.qubit0()),
+        _ => *gate,
+    }
 }
 
 /// The uniform compile entry point over 2QAN and the baseline compilers.
@@ -504,7 +566,6 @@ pub trait Compiler: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_circuit::GateKind;
 
     struct PushGatePass(&'static str);
     impl Pass for PushGatePass {
@@ -658,6 +719,42 @@ mod tests {
         ctx.faults = Some(Arc::clone(&injector));
         pm.run(&mut ctx).unwrap();
         assert_eq!(injector.counts().checks, 2);
+    }
+
+    /// An output carrying `gates` scheduled ASAP on `device`, with metrics
+    /// for the device's native basis.
+    fn output_of(gates: &[Gate], device: &Device) -> CompiledOutput {
+        let hardware_circuit = ScheduledCircuit::asap_from_gates(device.num_qubits(), gates);
+        let basis = device.default_basis();
+        CompiledOutput {
+            compiler: "test",
+            metrics: crate::decompose::hardware_metrics(&hardware_circuit, basis),
+            hardware_circuit,
+            basis,
+            initial_placement: Vec::new(),
+            final_placement: None,
+            report: PipelineReport::default(),
+        }
+    }
+
+    #[test]
+    fn output_metrics_use_the_device_basis() {
+        let device = Device::montreal();
+        let out = output_of(
+            &[Gate::canonical(0, 1, 0.0, 0.0, 0.4), Gate::swap(1, 4)],
+            &device,
+        );
+        assert_eq!(out.basis, TwoQubitBasis::Cnot);
+        assert_eq!(out.swap_count(), 1);
+        assert_eq!(out.metrics.hardware_two_qubit_count, 5);
+        assert!(out.hardware_compatible(&device));
+    }
+
+    #[test]
+    fn hardware_compatibility_detects_non_adjacent_gates() {
+        let device = Device::montreal();
+        let out = output_of(&[Gate::canonical(0, 26, 0.0, 0.0, 0.4)], &device);
+        assert!(!out.hardware_compatible(&device));
     }
 
     #[test]

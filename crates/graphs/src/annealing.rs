@@ -16,7 +16,7 @@
 use crate::budget::SolverBudget;
 use crate::parallel::run_indexed;
 use crate::qap::QapProblem;
-use crate::tabu::DeltaTable;
+use crate::tabu::{DeltaTable, WarmStart};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -62,7 +62,8 @@ pub struct AnnealingResult {
     pub accepted_moves: usize,
 }
 
-/// Runs simulated annealing on a QAP instance.
+/// Runs simulated annealing on a QAP instance with no budget: shorthand
+/// for [`simulated_annealing_with`].
 ///
 /// Each restart anneals from a fresh random start; the best result over all
 /// restarts is returned (ties broken in favour of the earlier restart).
@@ -71,26 +72,38 @@ pub fn simulated_annealing<R: Rng + ?Sized>(
     config: &AnnealingConfig,
     rng: &mut R,
 ) -> AnnealingResult {
-    simulated_annealing_budgeted(problem, config, &SolverBudget::unlimited(), rng)
+    simulated_annealing_with(problem, config, &SolverBudget::unlimited(), None, rng)
 }
 
-/// Runs simulated annealing under a cooperative budget.
+/// Runs simulated annealing under a cooperative budget, optionally
+/// warm-started.
 ///
-/// Identical to [`simulated_annealing`] for an unlimited budget.  On expiry
-/// each restart schedule stops at its next temperature-sweep boundary and
-/// returns its best-so-far assignment, which is valid from the very first
-/// random start.
-pub fn simulated_annealing_budgeted<R: Rng + ?Sized>(
+/// Schedule slot 0 of a warm run anneals from `warm.assignment`; every other
+/// slot anneals from a fresh random start, with seeds pre-drawn from `rng`.
+/// Like [`tabu_search_with`](crate::tabu::tabu_search_with), a warm result
+/// never costs more than its seed (every schedule's best-so-far starts at
+/// its start, and the reduction keeps the minimum with ties broken in favour
+/// of the warm slot).
+///
+/// On budget expiry each schedule stops at its next temperature-sweep
+/// boundary and returns its best-so-far assignment, which is valid from the
+/// very first start.
+pub fn simulated_annealing_with<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &AnnealingConfig,
     budget: &SolverBudget,
+    warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> AnnealingResult {
     let restarts = config.restarts.max(1);
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
     let results = run_indexed(restarts, config.parallel, |k| {
         let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        annealing_schedule_budgeted(problem, config, budget, &mut restart_rng)
+        let start = match warm {
+            Some(warm) if k == 0 => warm.assignment.clone(),
+            _ => problem.random_assignment(&mut restart_rng),
+        };
+        annealing_schedule(problem, config, start, budget, &mut restart_rng)
     });
     results
         .into_iter()
@@ -98,83 +111,10 @@ pub fn simulated_annealing_budgeted<R: Rng + ?Sized>(
         .expect("at least one restart is always performed")
 }
 
-/// Runs warm-started simulated annealing: schedule slot 0 anneals from the
-/// warm seed assignment, the remaining `config.restarts - 1` slots from
-/// fresh random starts with seeds pre-drawn from `rng`.
-///
-/// Like [`tabu_search_warm`](crate::tabu::tabu_search_warm), the result
-/// never costs more than the seed assignment (every schedule's best-so-far
-/// starts at its start, and the reduction keeps the minimum with ties broken
-/// in favour of the warm slot).  The seed's retained delta table is *not*
-/// consumed here: annealing adopts a table only once its acceptance rate
-/// drops below the amortization threshold, and a warm schedule still begins
-/// with a hot, high-acceptance phase.
-pub fn simulated_annealing_warm<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    warm: &crate::tabu::WarmStart,
-    rng: &mut R,
-) -> AnnealingResult {
-    simulated_annealing_warm_budgeted(problem, config, warm, &SolverBudget::unlimited(), rng)
-}
-
-/// [`simulated_annealing_warm`] under a cooperative budget (see
-/// [`simulated_annealing_budgeted`] for the expiry semantics).
-pub fn simulated_annealing_warm_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    warm: &crate::tabu::WarmStart,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> AnnealingResult {
-    let restarts = config.restarts.max(1);
-    let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
-        let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        if k == 0 {
-            annealing_schedule_from_budgeted(
-                problem,
-                config,
-                warm.assignment.clone(),
-                budget,
-                &mut restart_rng,
-            )
-        } else {
-            annealing_schedule_budgeted(problem, config, budget, &mut restart_rng)
-        }
-    });
-    results
-        .into_iter()
-        .reduce(|best, r| if r.cost < best.cost { r } else { best })
-        .expect("at least one restart is always performed")
-}
-
-/// Runs one annealing schedule from a random start drawn from `rng`.
-pub fn annealing_schedule<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    rng: &mut R,
-) -> AnnealingResult {
-    annealing_schedule_budgeted(problem, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Runs one annealing schedule under a cooperative budget, checked once per
-/// temperature sweep.
-pub fn annealing_schedule_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> AnnealingResult {
-    let start = problem.random_assignment(rng);
-    annealing_schedule_from_budgeted(problem, config, start, budget, rng)
-}
-
-/// Runs one annealing schedule from an explicit starting assignment under a
-/// cooperative budget, checked once per temperature sweep.  The best-so-far
-/// assignment starts at `start`, so the result never costs more than the
-/// start itself.
-pub fn annealing_schedule_from_budgeted<R: Rng + ?Sized>(
+/// Runs one annealing schedule from `start` under a cooperative budget,
+/// checked once per temperature sweep.  The best-so-far assignment starts at
+/// `start`, so the result never costs more than the start itself.
+fn annealing_schedule<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &AnnealingConfig,
     start: Vec<usize>,
@@ -352,29 +292,28 @@ mod tests {
 
     #[test]
     fn expired_budget_returns_a_valid_assignment_immediately() {
-        use crate::budget::SolverBudget;
         use std::time::Duration;
         let p = line_on_grid(9, 3, 3);
         let budget = SolverBudget::with_deadline(Duration::ZERO);
         let mut rng = StdRng::seed_from_u64(8);
-        let r = simulated_annealing_budgeted(&p, &AnnealingConfig::default(), &budget, &mut rng);
+        let r = simulated_annealing_with(&p, &AnnealingConfig::default(), &budget, None, &mut rng);
         assert_eq!(r.accepted_moves, 0);
         assert!(p.is_valid_assignment(&r.assignment));
     }
 
     #[test]
     fn unlimited_budget_matches_the_unbudgeted_search() {
-        use crate::budget::SolverBudget;
         let p = line_on_grid(8, 3, 3);
         let plain = simulated_annealing(
             &p,
             &AnnealingConfig::default(),
             &mut StdRng::seed_from_u64(13),
         );
-        let budgeted = simulated_annealing_budgeted(
+        let budgeted = simulated_annealing_with(
             &p,
             &AnnealingConfig::default(),
             &SolverBudget::unlimited(),
+            None,
             &mut StdRng::seed_from_u64(13),
         );
         assert_eq!(plain, budgeted);
@@ -409,14 +348,19 @@ mod tests {
 
     #[test]
     fn warm_start_never_loses_to_its_seed() {
-        use crate::tabu::WarmStart;
         let p = line_on_grid(9, 4, 4);
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
             let start = p.random_assignment(&mut rng);
             let start_cost = p.cost(&start);
             let warm = WarmStart::new(start);
-            let r = simulated_annealing_warm(&p, &AnnealingConfig::default(), &warm, &mut rng);
+            let r = simulated_annealing_with(
+                &p,
+                &AnnealingConfig::default(),
+                &SolverBudget::unlimited(),
+                Some(&warm),
+                &mut rng,
+            );
             assert!(r.cost <= start_cost, "seed {seed}: warm lost to its seed");
             assert!(p.is_valid_assignment(&r.assignment));
         }
@@ -424,7 +368,6 @@ mod tests {
 
     #[test]
     fn warm_parallel_and_serial_restarts_are_bit_identical() {
-        use crate::tabu::WarmStart;
         let p = line_on_grid(8, 3, 4);
         let mut rng = StdRng::seed_from_u64(2);
         let warm = WarmStart::new(p.random_assignment(&mut rng));
@@ -433,23 +376,24 @@ mod tests {
             ..AnnealingConfig::default()
         };
         for seed in 0..4 {
-            let serial = simulated_annealing_warm_budgeted(
+            let serial = simulated_annealing_with(
                 &p,
                 &AnnealingConfig {
                     parallel: false,
                     ..config.clone()
                 },
-                &warm,
                 &SolverBudget::unlimited(),
+                Some(&warm),
                 &mut StdRng::seed_from_u64(seed),
             );
-            let parallel = simulated_annealing_warm(
+            let parallel = simulated_annealing_with(
                 &p,
                 &AnnealingConfig {
                     parallel: true,
                     ..config.clone()
                 },
-                &warm,
+                &SolverBudget::unlimited(),
+                Some(&warm),
                 &mut StdRng::seed_from_u64(seed),
             );
             assert_eq!(serial, parallel, "seed {seed} diverged across thread modes");

@@ -31,9 +31,7 @@ pub mod tabu;
 pub mod weighted;
 
 pub use annealing::{
-    annealing_schedule, annealing_schedule_budgeted, annealing_schedule_from_budgeted,
-    simulated_annealing, simulated_annealing_budgeted, simulated_annealing_warm,
-    simulated_annealing_warm_budgeted, AnnealingConfig, AnnealingResult,
+    simulated_annealing, simulated_annealing_with, AnnealingConfig, AnnealingResult,
 };
 pub use budget::{CancelToken, SolverBudget};
 pub use coloring::{greedy_coloring, ColoringResult};
@@ -43,7 +41,6 @@ pub use qap::QapProblem;
 pub use random_regular::{random_regular_graph, try_random_regular_graph, RandomRegularError};
 pub use tabu::{
     build_delta_table_reference, select_best_move, select_best_move_reference, tabu_search,
-    tabu_search_budgeted, tabu_search_from, tabu_search_from_budgeted, tabu_search_warm,
-    tabu_search_warm_budgeted, DeltaTable, ScanOutcome, TabuConfig, TabuResult, WarmStart,
+    tabu_search_warm, tabu_search_with, DeltaTable, ScanOutcome, TabuConfig, TabuResult, WarmStart,
 };
 pub use weighted::WeightedDistanceMatrix;

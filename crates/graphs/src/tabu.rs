@@ -65,7 +65,8 @@ pub struct TabuResult {
     pub iterations: usize,
 }
 
-/// Runs Tabu search on a QAP instance starting from random assignments.
+/// Runs Tabu search on a QAP instance starting from random assignments,
+/// with no budget: shorthand for [`tabu_search_with`].
 ///
 /// Returns the best assignment found across all restarts (ties broken in
 /// favour of the earlier restart).  The search is deterministic for a fixed
@@ -75,30 +76,51 @@ pub fn tabu_search<R: Rng + ?Sized>(
     config: &TabuConfig,
     rng: &mut R,
 ) -> TabuResult {
-    tabu_search_budgeted(problem, config, &SolverBudget::unlimited(), rng)
+    tabu_search_with(problem, config, &SolverBudget::unlimited(), None, rng)
 }
 
-/// Runs Tabu search under a cooperative budget.
+/// Runs warm-started Tabu search with no budget: shorthand for
+/// [`tabu_search_with`] with `Some(warm)`.
+pub fn tabu_search_warm<R: Rng + ?Sized>(
+    problem: &QapProblem,
+    config: &TabuConfig,
+    warm: &WarmStart,
+    rng: &mut R,
+) -> TabuResult {
+    tabu_search_with(problem, config, &SolverBudget::unlimited(), Some(warm), rng)
+}
+
+/// Runs Tabu search under a cooperative budget, optionally warm-started.
 ///
-/// Identical to [`tabu_search`] for an unlimited budget (the expiry check on
-/// an unlimited budget never reads the clock).  On expiry each restart stops
-/// at its next iteration boundary and returns its best-so-far assignment —
-/// the starting assignment is always valid, so the result is valid no matter
-/// how early the budget runs out.
-pub fn tabu_search_budgeted<R: Rng + ?Sized>(
+/// One seed per restart is pre-drawn from `rng`, so the restart outcomes are
+/// independent of execution order and thread count.  Every restart starts
+/// from a random assignment drawn from its seed — except restart slot 0 of a
+/// warm search, which starts from `warm.assignment` and ignores its seed.
+/// A single-restart warm search is therefore a plain descent from the seed.
+///
+/// The result never costs more than the warm seed: slot 0's best-so-far
+/// starts at the seed, and the cross-restart reduction keeps the minimum
+/// (ties broken in favour of the earlier slot).
+///
+/// The expiry check on an unlimited budget never reads the clock.  On expiry
+/// each restart stops at its next iteration boundary and returns its
+/// best-so-far assignment — the starting assignment is always valid, so the
+/// result is valid no matter how early the budget runs out.
+pub fn tabu_search_with<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &TabuConfig,
     budget: &SolverBudget,
+    warm: Option<&WarmStart>,
     rng: &mut R,
 ) -> TabuResult {
     let restarts = config.restarts.max(1);
-    // Pre-draw one seed per restart so the restart outcomes are independent
-    // of execution order and thread count.
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
     let results = run_indexed(restarts, config.parallel, |k| {
-        let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        let start = problem.random_assignment(&mut restart_rng);
-        tabu_search_from_budgeted(problem, start, config, budget)
+        let start = match warm {
+            Some(warm) if k == 0 => warm.assignment.clone(),
+            _ => problem.random_assignment(&mut StdRng::seed_from_u64(seeds[k])),
+        };
+        tabu_core(problem, start, config, budget)
     });
     results
         .into_iter()
@@ -471,148 +493,28 @@ pub fn build_delta_table_reference(problem: &QapProblem, assignment: &[usize]) -
     delta
 }
 
-/// A seed for warm-started (incremental) search: the previous placement
-/// plus, optionally, the delta table retained from the run that produced it.
-///
-/// A retained table skips the O(n³) rebuild entirely when it is still
-/// consistent with `(problem, assignment)`; consistency is spot-checked
-/// against [`QapProblem::swap_delta`] on a handful of pairs and the table is
-/// silently rebuilt on any mismatch, so a stale table can cost time but
-/// never correctness.
+/// A seed for warm-started (incremental) search: the previous placement,
+/// used as the starting point of restart slot 0 (see [`tabu_search_with`]).
 #[derive(Debug, Clone)]
 pub struct WarmStart {
-    /// The previous best assignment (facility → location), used as the
-    /// starting point of restart slot 0.
+    /// The previous best assignment (facility → location).
     pub assignment: Vec<usize>,
-    /// Delta table retained from the previous run, if the caller kept it.
-    pub delta_table: Option<DeltaTable>,
 }
 
 impl WarmStart {
-    /// A warm start from a bare assignment (the table will be rebuilt).
+    /// A warm start from a previous assignment.
     pub fn new(assignment: Vec<usize>) -> Self {
-        Self {
-            assignment,
-            delta_table: None,
-        }
-    }
-
-    /// A warm start carrying a retained delta table.
-    pub fn with_table(assignment: Vec<usize>, table: DeltaTable) -> Self {
-        Self {
-            assignment,
-            delta_table: Some(table),
-        }
+        Self { assignment }
     }
 }
 
-/// Runs warm-started Tabu search: restart slot 0 starts from the warm seed
-/// (reusing its retained delta table when still consistent), the remaining
-/// `config.restarts - 1` slots stay independent random restarts with seeds
-/// pre-drawn from `rng`.
-///
-/// The result never costs more than the seed assignment itself: slot 0's
-/// best-so-far starts at the seed, and the cross-restart reduction keeps the
-/// minimum (ties broken in favour of the warm slot).
-pub fn tabu_search_warm<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &TabuConfig,
-    warm: &WarmStart,
-    rng: &mut R,
-) -> TabuResult {
-    tabu_search_warm_budgeted(problem, config, warm, &SolverBudget::unlimited(), rng)
-}
-
-/// [`tabu_search_warm`] under a cooperative budget (see
-/// [`tabu_search_budgeted`] for the expiry semantics).
-pub fn tabu_search_warm_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &TabuConfig,
-    warm: &WarmStart,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> TabuResult {
-    let restarts = config.restarts.max(1);
-    // Same seed-drawing discipline as the cold search: one pre-drawn seed
-    // per restart keeps the outcome independent of execution order.  Slot 0
-    // ignores its seed (it starts from the warm assignment).
-    let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
-        if k == 0 {
-            tabu_core(
-                problem,
-                warm.assignment.clone(),
-                config,
-                budget,
-                warm.delta_table.clone(),
-            )
-        } else {
-            let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-            let start = problem.random_assignment(&mut restart_rng);
-            tabu_search_from_budgeted(problem, start, config, budget)
-        }
-    });
-    results
-        .into_iter()
-        .reduce(|best, r| if r.cost < best.cost { r } else { best })
-        .expect("at least one restart is always performed")
-}
-
-/// Runs Tabu search from an explicit starting assignment.
-pub fn tabu_search_from(
-    problem: &QapProblem,
-    start: Vec<usize>,
-    config: &TabuConfig,
-) -> TabuResult {
-    tabu_search_from_budgeted(problem, start, config, &SolverBudget::unlimited())
-}
-
-/// Runs Tabu search from an explicit starting assignment under a cooperative
-/// budget, checked once per neighbourhood iteration.  On expiry the
-/// best-so-far assignment (at worst, `start` itself) is returned.
-pub fn tabu_search_from_budgeted(
-    problem: &QapProblem,
-    start: Vec<usize>,
-    config: &TabuConfig,
-    budget: &SolverBudget,
-) -> TabuResult {
-    tabu_core(problem, start, config, budget, None)
-}
-
-/// How many sampled pairs a retained delta table is spot-checked on before
-/// being trusted by [`tabu_core`].
-const WARM_TABLE_PROBES: usize = 3;
-
-/// Returns `true` when `table` is plausibly consistent with
-/// `(problem, assignment)`: right size, and a handful of sampled pair deltas
-/// match a from-scratch [`QapProblem::swap_delta`] recomputation.
-fn warm_table_consistent(table: &DeltaTable, problem: &QapProblem, assignment: &[usize]) -> bool {
-    let n = problem.num_facilities();
-    if table.n != n || n < 2 {
-        return false;
-    }
-    for p in 0..WARM_TABLE_PROBES {
-        let i = p * (n - 1) / WARM_TABLE_PROBES.max(1);
-        let span = problem.scan_span(i);
-        if i + 1 >= span {
-            continue;
-        }
-        let j = i + 1;
-        if (table.delta(i, j) - problem.swap_delta(assignment, i, j)).abs() > 1e-9 {
-            return false;
-        }
-    }
-    true
-}
-
-/// The single Tabu descent every public entry point funnels into, with an
-/// optional retained delta table from a warm start.
+/// The single Tabu descent every restart runs, from `start`.  On budget
+/// expiry the best-so-far assignment (at worst, `start` itself) is returned.
 fn tabu_core(
     problem: &QapProblem,
     start: Vec<usize>,
     config: &TabuConfig,
     budget: &SolverBudget,
-    retained: Option<DeltaTable>,
 ) -> TabuResult {
     assert!(
         problem.is_valid_assignment(&start),
@@ -629,13 +531,11 @@ fn tabu_core(
     let mut iterations = 0usize;
     // The delta table costs O(n³) up front — the budgeted build bails out
     // per row tile, so a zero-deadline call returns (the valid start)
-    // immediately and a mid-build expiry wastes at most one tile.  A warm
-    // start's retained table (spot-checked for consistency) skips the build.
-    let retained = retained.filter(|t| warm_table_consistent(t, problem, &current));
-    let mut deltas = match retained {
-        Some(table) => Some(table),
-        None if n >= 2 && !budget.expired() => DeltaTable::new_budgeted(problem, &current, budget),
-        None => None,
+    // immediately and a mid-build expiry wastes at most one tile.
+    let mut deltas = if n >= 2 && !budget.expired() {
+        DeltaTable::new_budgeted(problem, &current, budget)
+    } else {
+        None
     };
 
     for iter in 1..=config.max_iterations {
@@ -697,6 +597,22 @@ mod tests {
     use crate::distance::DistanceMatrix;
     use crate::graph::Graph;
 
+    /// A single warm-seeded restart: a plain Tabu descent from `start`.
+    fn descend_from(problem: &QapProblem, start: Vec<usize>, budget: &SolverBudget) -> TabuResult {
+        let config = TabuConfig {
+            restarts: 1,
+            ..TabuConfig::default()
+        };
+        let warm = WarmStart::new(start);
+        tabu_search_with(
+            problem,
+            &config,
+            budget,
+            Some(&warm),
+            &mut StdRng::seed_from_u64(0),
+        )
+    }
+
     /// A line of interacting qubits on a grid device: the optimum places the
     /// line along adjacent hardware qubits (cost = number of gates, counted
     /// twice by the symmetric objective).
@@ -722,7 +638,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let start = p.random_assignment(&mut rng);
         let start_cost = p.cost(&start);
-        let r = tabu_search_from(&p, start, &TabuConfig::default());
+        let r = descend_from(&p, start, &SolverBudget::unlimited());
         assert!(r.cost <= start_cost);
         assert!(p.is_valid_assignment(&r.assignment));
     }
@@ -809,15 +725,35 @@ mod tests {
     }
 
     #[test]
+    fn single_warm_restart_ignores_its_drawn_seed() {
+        let p = line_on_grid(8, 3, 3);
+        let start = p.random_assignment(&mut StdRng::seed_from_u64(5));
+        let config = TabuConfig {
+            restarts: 1,
+            ..TabuConfig::default()
+        };
+        let warm = WarmStart::new(start);
+        let run = |seed| {
+            tabu_search_with(
+                &p,
+                &config,
+                &SolverBudget::unlimited(),
+                Some(&warm),
+                &mut StdRng::seed_from_u64(seed),
+            )
+        };
+        assert_eq!(run(1), run(2));
+    }
+
+    #[test]
     fn expired_budget_returns_the_valid_start() {
-        use crate::budget::SolverBudget;
         use std::time::Duration;
         let p = line_on_grid(8, 3, 3);
         let mut rng = StdRng::seed_from_u64(11);
         let start = p.random_assignment(&mut rng);
         let start_cost = p.cost(&start);
         let budget = SolverBudget::with_deadline(Duration::ZERO);
-        let r = tabu_search_from_budgeted(&p, start, &TabuConfig::default(), &budget);
+        let r = descend_from(&p, start, &budget);
         assert_eq!(r.iterations, 0);
         assert_eq!(r.cost, start_cost);
         assert!(p.is_valid_assignment(&r.assignment));
@@ -825,13 +761,13 @@ mod tests {
 
     #[test]
     fn unlimited_budget_matches_the_unbudgeted_search() {
-        use crate::budget::SolverBudget;
         let p = line_on_grid(9, 3, 3);
         let plain = tabu_search(&p, &TabuConfig::default(), &mut StdRng::seed_from_u64(3));
-        let budgeted = tabu_search_budgeted(
+        let budgeted = tabu_search_with(
             &p,
             &TabuConfig::default(),
             &SolverBudget::unlimited(),
+            None,
             &mut StdRng::seed_from_u64(3),
         );
         assert_eq!(plain, budgeted);
@@ -841,7 +777,7 @@ mod tests {
     #[should_panic(expected = "valid starting assignment")]
     fn rejects_invalid_start() {
         let p = line_on_grid(4, 2, 2);
-        let _ = tabu_search_from(&p, vec![0, 0, 1, 2], &TabuConfig::default());
+        let _ = descend_from(&p, vec![0, 0, 1, 2], &SolverBudget::unlimited());
     }
 
     #[test]
@@ -873,58 +809,6 @@ mod tests {
             &mut StdRng::seed_from_u64(99),
         );
         assert_eq!(r.cost, 10.0);
-    }
-
-    #[test]
-    fn retained_table_matches_rebuilt_table_bit_identically() {
-        let p = line_on_grid(9, 4, 4);
-        let mut rng = StdRng::seed_from_u64(21);
-        let start = p.random_assignment(&mut rng);
-        let table = DeltaTable::new(&p, &start);
-        let cfg = TabuConfig::default();
-        let without = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::new(start.clone()),
-            &mut StdRng::seed_from_u64(9),
-        );
-        let with = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::with_table(start, table),
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(without, with);
-    }
-
-    #[test]
-    fn stale_retained_table_is_detected_and_rebuilt() {
-        let p = line_on_grid(8, 3, 3);
-        let mut rng = StdRng::seed_from_u64(33);
-        let a = p.random_assignment(&mut rng);
-        let mut b = a.clone();
-        // Make the table stale in a way the probes must notice: swap the
-        // first two facilities, which changes the probed (0, 1) row.
-        b.swap(0, 1);
-        let stale = DeltaTable::new(&p, &b);
-        assert!(!warm_table_consistent(&stale, &p, &a));
-        let cfg = TabuConfig {
-            restarts: 1,
-            ..TabuConfig::default()
-        };
-        let clean = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::new(a.clone()),
-            &mut StdRng::seed_from_u64(1),
-        );
-        let guarded = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::with_table(a, stale),
-            &mut StdRng::seed_from_u64(1),
-        );
-        assert_eq!(clean, guarded);
     }
 
     #[test]

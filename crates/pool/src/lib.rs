@@ -22,8 +22,10 @@
 //!
 //! The crate is std-only (the build environment has no crates.io access) and
 //! keeps a global census of every OS thread spawned for compile work — pool
-//! workers and any legacy scoped fallback — so tests can prove that a run at
-//! `--threads N` used exactly `N` workers with no nested spawning.
+//! workers and any legacy scoped fallback.  [`count_spawns`] scopes that
+//! count to one caller, so tests can prove that a run at `--threads N` used
+//! exactly `N` workers with no nested spawning even while other code spawns
+//! threads concurrently.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -41,13 +43,45 @@ pub fn spawned_thread_census() -> usize {
     SPAWNED_THREAD_CENSUS.load(Ordering::SeqCst)
 }
 
-/// Records `n` newly spawned compile-work threads in the global census.
+/// Records `n` newly spawned compile-work threads in the global census, and
+/// in the [`count_spawns`] scope of the current thread, if any.
 ///
 /// The pool calls this for its own workers; the legacy scoped fallback in
 /// `twoqan_graphs::run_indexed` calls it for each scoped thread so tests can
 /// assert that no nested spawning happens while a pool is installed.
 pub fn census_add(n: usize) {
     SPAWNED_THREAD_CENSUS.fetch_add(n, Ordering::SeqCst);
+    SPAWN_SCOPE.with(|scope| {
+        if let Some(counter) = scope.borrow().as_ref() {
+            counter.fetch_add(n, Ordering::SeqCst);
+        }
+    });
+}
+
+/// Runs `f` and returns its result together with the number of compile-work
+/// threads spawned on its behalf: by the current thread, and by the workers
+/// of every pool created inside `f` (they inherit the scope).
+///
+/// Unlike a difference of [`spawned_thread_census`] readings, the count is
+/// immune to threads that unrelated code — a concurrently running test, say
+/// — spawns at the same time.
+pub fn count_spawns<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    /// Restores the enclosing scope even if `f` unwinds.
+    struct Restore(Option<Arc<AtomicUsize>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            SPAWN_SCOPE.with(|scope| *scope.borrow_mut() = prev);
+        }
+    }
+    let counter = Arc::new(AtomicUsize::new(0));
+    let restore = Restore(SPAWN_SCOPE.with(|scope| scope.replace(Some(Arc::clone(&counter)))));
+    let result = f();
+    let spawned = counter.load(Ordering::SeqCst);
+    if let Some(outer) = &restore.0 {
+        outer.fetch_add(spawned, Ordering::SeqCst);
+    }
+    (result, spawned)
 }
 
 /// The number of workers that can make concurrent progress on this machine.
@@ -116,6 +150,9 @@ struct Inner {
     shutdown: AtomicBool,
     /// Total worker count, including the submitting caller thread.
     workers: usize,
+    /// The [`count_spawns`] scope the pool was created in; its workers
+    /// adopt it so their own spawns are attributed to it too.
+    spawn_scope: Option<Arc<AtomicUsize>>,
     /// Dedicated workers currently parked on `queue_cv` with nothing to do.
     /// Nested batches consult this before posting tickets: when the pool is
     /// saturated there is nobody to help, so they run inline instead of
@@ -156,6 +193,10 @@ thread_local! {
     /// on a fresh submitter; positive while inside `BatchShared::execute_one`
     /// (i.e. when a submission is a *nested* batch from within another one).
     static BATCH_DEPTH: Cell<usize> = const { Cell::new(0) };
+
+    /// The spawn counter of the innermost [`count_spawns`] scope the current
+    /// thread runs under, if any.
+    static SPAWN_SCOPE: RefCell<Option<Arc<AtomicUsize>>> = const { RefCell::new(None) };
 }
 
 /// A fixed-size work-stealing pool for compile jobs and solver restarts.
@@ -179,6 +220,7 @@ impl CompilePool {
             queue_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             workers,
+            spawn_scope: SPAWN_SCOPE.with(|scope| scope.borrow().clone()),
             idle: AtomicUsize::new(0),
         });
         let spawned = workers - 1;
@@ -285,6 +327,7 @@ where
 
 fn worker_loop(inner: Arc<Inner>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&inner)));
+    SPAWN_SCOPE.with(|scope| *scope.borrow_mut() = inner.spawn_scope.clone());
     loop {
         let ticket = {
             let mut queue = inner.queue.lock().expect("pool queue poisoned");
@@ -444,9 +487,8 @@ mod tests {
 
     #[test]
     fn one_worker_pool_spawns_nothing_and_runs_serially() {
-        let before = spawned_thread_census();
-        let pool = CompilePool::new(1);
-        assert_eq!(spawned_thread_census(), before);
+        let (pool, spawned) = count_spawns(|| CompilePool::new(1));
+        assert_eq!(spawned, 0);
         assert_eq!(pool.workers(), 1);
         assert_eq!(pool.run_indexed(5, |k| k), vec![0, 1, 2, 3, 4]);
     }
@@ -454,12 +496,28 @@ mod tests {
     #[test]
     fn spawns_exactly_workers_minus_one_threads() {
         let before = spawned_thread_census();
-        let pool = CompilePool::new(7);
-        assert_eq!(spawned_thread_census() - before, 6);
-        assert_eq!(pool.workers(), 7);
-        drop(pool);
-        // Dropping joins workers without spawning more.
-        assert_eq!(spawned_thread_census() - before, 6);
+        let ((), spawned) = count_spawns(|| {
+            let pool = CompilePool::new(7);
+            assert_eq!(pool.workers(), 7);
+            // Dropping joins workers without spawning more.
+            drop(pool);
+        });
+        assert_eq!(spawned, 6);
+        // The global census saw them too.
+        assert!(spawned_thread_census() - before >= 6);
+    }
+
+    #[test]
+    fn spawn_scopes_cover_pool_workers_and_nest() {
+        let ((), outer) = count_spawns(|| {
+            let pool = CompilePool::new(3);
+            // A nested pool created on a worker thread is attributed to the
+            // scope the outer pool was created in.
+            pool.run_indexed(2, |_| drop(CompilePool::new(2)));
+            let ((), inner) = count_spawns(|| census_add(4));
+            assert_eq!(inner, 4);
+        });
+        assert_eq!(outer, 2 + 2 + 4);
     }
 
     #[test]

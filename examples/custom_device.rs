@@ -48,7 +48,7 @@ fn main() {
     println!(
         "  SWAPs: {} ({} dressed)",
         result.swap_count(),
-        result.dressed_swap_count()
+        result.metrics.dressed_swap_count
     );
     println!(
         "  native {} gates: {}",
@@ -73,11 +73,14 @@ fn main() {
     // A final mixer layer turns the diagonal evolution into non-trivial ZZ
     // correlators; it is applied identically to both states (on the
     // corresponding qubits), so it does not affect the comparison.
-    let final_map = result.routed.final_map();
+    let final_map = result
+        .final_placement
+        .as_deref()
+        .expect("2QAN tracks the final placement");
     let mixer = twoqan_repro::twoqan_math::gates::rx(0.7);
-    for logical in 0..circuit.num_qubits() {
+    for (logical, &physical) in final_map.iter().enumerate() {
         logical_state.apply_single(logical, &mixer);
-        hardware_state.apply_single(final_map.physical(logical), &mixer);
+        hardware_state.apply_single(physical, &mixer);
     }
 
     // Compare ⟨Z_u Z_v⟩ for every Hamiltonian edge, mapping logical qubits to
@@ -85,8 +88,7 @@ fn main() {
     let mut max_error: f64 = 0.0;
     for term in hamiltonian.two_qubit_terms() {
         let logical_value = logical_state.expectation_zz(term.u, term.v);
-        let physical_value =
-            hardware_state.expectation_zz(final_map.physical(term.u), final_map.physical(term.v));
+        let physical_value = hardware_state.expectation_zz(final_map[term.u], final_map[term.v]);
         max_error = max_error.max((logical_value - physical_value).abs());
     }
     println!("  max |⟨ZZ⟩ difference| between logical and compiled circuit: {max_error:.2e}");

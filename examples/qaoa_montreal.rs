@@ -35,7 +35,7 @@ fn main() {
         "{:<14} {:>6} {:>8} {:>9} {:>10.3} {:>12.3}",
         "2QAN",
         two_qan.swap_count(),
-        two_qan.dressed_swap_count(),
+        two_qan.metrics.dressed_swap_count,
         two_qan.metrics.hardware_two_qubit_count,
         eval.fidelity,
         eval.noisy_normalized
@@ -67,7 +67,8 @@ fn main() {
         (
             "NoMap",
             NoMapCompiler::new()
-                .compile_for_device(&layer, &device)
+                .compile(&layer, &device)
+                .expect("QAOA layer fits on Montreal")
                 .metrics,
         ),
     ];

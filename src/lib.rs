@@ -33,8 +33,8 @@ pub use twoqan_verify;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use twoqan::{
-        BatchCompiler, BatchJob, CompilationResult, CompiledOutput, Compiler, PassManager,
-        PipelineReport, TwoQanCompiler, TwoQanConfig,
+        BatchCompiler, BatchJob, CompiledOutput, Compiler, PassManager, PipelineReport,
+        TwoQanCompiler, TwoQanConfig,
     };
     pub use twoqan_baselines::{
         CompilerRegistry, GenericCompiler, GenericConfig, IcQaoaCompiler, NoMapCompiler,

@@ -11,13 +11,24 @@ use twoqan_repro::twoqan_math::gates;
 use twoqan_repro::twoqan_sim::{evaluate_qaoa, NoiseModel};
 use twoqan_repro::twoqan_verify::{verify_one, EquivalenceChecker, EquivalenceMode};
 
-fn compile_2qan(circuit: &Circuit, device: &Device) -> twoqan_repro::twoqan::CompilationResult {
+fn compile_2qan(circuit: &Circuit, device: &Device) -> CompiledOutput {
     TwoQanCompiler::new(TwoQanConfig {
         mapping_trials: 2,
         ..TwoQanConfig::default()
     })
     .compile(circuit, device)
     .expect("benchmark circuits fit on their devices")
+}
+
+/// Asserts two compiles produced the same artifact.  The report carries
+/// wall-clock timings, so equality is asserted on the deterministic
+/// payload: circuit, metrics, basis and placements.
+fn assert_same(a: &CompiledOutput, b: &CompiledOutput, what: &str) {
+    assert_eq!(a.hardware_circuit, b.hardware_circuit, "{what}: circuit");
+    assert_eq!(a.metrics, b.metrics, "{what}: metrics");
+    assert_eq!(a.basis, b.basis, "{what}: basis");
+    assert_eq!(a.initial_placement, b.initial_placement, "{what}: initial");
+    assert_eq!(a.final_placement, b.final_placement, "{what}: final");
 }
 
 #[test]
@@ -106,15 +117,18 @@ fn compiled_commuting_circuit_is_exactly_equivalent_on_the_simulator() {
 
     // A mixer layer makes the correlators non-trivial; apply it to matching
     // qubits on both sides.
-    let final_map = result.routed.final_map();
+    let final_map = result
+        .final_placement
+        .as_deref()
+        .expect("2QAN tracks the final placement");
     let mixer = gates::rx(0.9);
-    for q in 0..circuit.num_qubits() {
+    for (q, &physical) in final_map.iter().enumerate() {
         logical.apply_single(q, &mixer);
-        hardware.apply_single(final_map.physical(q), &mixer);
+        hardware.apply_single(physical, &mixer);
     }
     for (u, v) in problem.graph().edges() {
         let l = logical.expectation_zz(u, v);
-        let h = hardware.expectation_zz(final_map.physical(u), final_map.physical(v));
+        let h = hardware.expectation_zz(final_map[u], final_map[v]);
         assert!(
             (l - h).abs() < 1e-9,
             "correlator mismatch on edge ({u},{v}): logical {l} vs hardware {h}"
@@ -183,14 +197,14 @@ fn legacy_2qan_compile(
     circuit: &Circuit,
     device: &Device,
     config: &TwoQanConfig,
-) -> twoqan_repro::twoqan::CompilationResult {
+) -> CompiledOutput {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use twoqan_repro::twoqan::decompose::hardware_metrics_with_target;
-    use twoqan_repro::twoqan::mapping::initial_mapping_with;
+    use twoqan_repro::twoqan::mapping::initial_mapping;
     use twoqan_repro::twoqan::routing::route;
     use twoqan_repro::twoqan::scheduling::schedule;
-    use twoqan_repro::twoqan::CompilationResult;
+    use twoqan_repro::twoqan::SolverBudget;
 
     let prepared = if config.unify_input {
         circuit.unify_same_pair_gates()
@@ -198,10 +212,17 @@ fn legacy_2qan_compile(
         circuit.clone()
     };
     let mapping_config = config.mapping_config();
-    let mut best: Option<CompilationResult> = None;
+    let mut best: Option<CompiledOutput> = None;
     for trial in 0..config.mapping_trials.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(trial as u64));
-        let map = initial_mapping_with(&prepared, device, &mapping_config, &mut rng).unwrap();
+        let map = initial_mapping(
+            &prepared,
+            device,
+            &mapping_config,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
         let routed = route(&prepared, device, &map, &config.routing, &mut rng).unwrap();
         let hardware_circuit = schedule(&routed, device, config.scheduling);
         let metrics = hardware_metrics_with_target(
@@ -209,12 +230,14 @@ fn legacy_2qan_compile(
             device.default_basis(),
             device.target(),
         );
-        let candidate = CompilationResult {
-            initial_map: map,
-            routed,
+        let candidate = CompiledOutput {
+            compiler: "2QAN",
+            initial_placement: map.assignment().to_vec(),
+            final_placement: Some(routed.final_map().assignment().to_vec()),
             hardware_circuit,
             metrics,
             basis: device.default_basis(),
+            report: PipelineReport::default(),
         };
         let better = best.as_ref().is_none_or(|b| {
             (
@@ -267,10 +290,15 @@ fn pipelined_2qan_is_bit_identical_to_the_pre_refactor_path() {
     ] {
         for (name, circuit) in &workloads {
             let legacy = legacy_2qan_compile(circuit, &device, &config);
-            let (pipelined, report) = TwoQanCompiler::new(config.clone())
-                .compile_with_report(circuit, &device)
+            let pipelined = TwoQanCompiler::new(config.clone())
+                .compile(circuit, &device)
                 .unwrap();
-            assert_eq!(pipelined, legacy, "{name} diverged from the legacy path");
+            assert_same(
+                &pipelined,
+                &legacy,
+                &format!("{name} diverged from the legacy path"),
+            );
+            let report = &pipelined.report;
             assert_eq!(
                 report.pass_names(),
                 vec![
@@ -318,9 +346,10 @@ fn calibration_aware_compilation_is_bit_identical_on_uniform_targets() {
         })
         .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(
-            hop, aware,
-            "{name}: uniform-target calibration-aware compilation diverged"
+        assert_same(
+            &hop,
+            &aware,
+            &format!("{name}: uniform-target calibration-aware compilation diverged"),
         );
     }
 }
@@ -454,15 +483,6 @@ fn every_compiler_is_bit_identical_serial_vs_pooled() {
             })
         })
         .collect();
-    // The report carries wall-clock timings, so equality is asserted on the
-    // deterministic payload: circuit, metrics, basis and placements.
-    fn assert_same(a: &CompiledOutput, b: &CompiledOutput, what: &str) {
-        assert_eq!(a.hardware_circuit, b.hardware_circuit, "{what}: circuit");
-        assert_eq!(a.metrics, b.metrics, "{what}: metrics");
-        assert_eq!(a.basis, b.basis, "{what}: basis");
-        assert_eq!(a.initial_placement, b.initial_placement, "{what}: initial");
-        assert_eq!(a.final_placement, b.final_placement, "{what}: final");
-    }
     let serial = BatchCompiler::new(1).compile_batch(&jobs);
     for threads in [2usize, 4, 7] {
         // Through the batch driver at every worker count…
@@ -522,13 +542,14 @@ fn table3_anchor_values_hold() {
 
     let h1 = heisenberg_lattice(LatticeDimensions::OneD(30), 1);
     let paulihedral = PaulihedralCompiler::new().compile_all_to_all(&h1, 1.0, TwoQubitBasis::Cnot);
-    let two_qan = NoMapCompiler::new().compile(&trotter_step(&h1, 1.0), TwoQubitBasis::Cnot);
+    let two_qan = NoMapCompiler::new().compile_output(&trotter_step(&h1, 1.0), TwoQubitBasis::Cnot);
     // Both achieve 29 edges × 3 CNOTs = 87 on the 1-D chain (Table III row 1).
     assert_eq!(paulihedral.metrics.hardware_two_qubit_count, 87);
     assert_eq!(two_qan.metrics.hardware_two_qubit_count, 87);
 
     let h2 = heisenberg_lattice(LatticeDimensions::TwoD(5, 6), 1);
-    let two_qan_2d = NoMapCompiler::new().compile(&trotter_step(&h2, 1.0), TwoQubitBasis::Cnot);
+    let two_qan_2d =
+        NoMapCompiler::new().compile_output(&trotter_step(&h2, 1.0), TwoQubitBasis::Cnot);
     assert_eq!(two_qan_2d.metrics.hardware_two_qubit_count, 147);
 }
 
@@ -540,7 +561,7 @@ fn heisenberg_on_sycamore_has_negligible_syc_overhead() {
     let device = Device::sycamore();
     let circuit = trotterize(&nnn_heisenberg(16, 9), 1, 1.0);
     let result = compile_2qan(&circuit, &device);
-    let baseline = NoMapCompiler::new().compile_for_device(&circuit, &device);
+    let baseline = NoMapCompiler::new().compile(&circuit, &device).unwrap();
     let overhead = result.metrics.hardware_two_qubit_count as f64
         - baseline.metrics.hardware_two_qubit_count as f64;
     let relative = overhead / baseline.metrics.hardware_two_qubit_count as f64;

@@ -11,8 +11,8 @@ use twoqan_repro::prelude::*;
 use twoqan_repro::twoqan_circuit::GateKind;
 use twoqan_repro::twoqan_graphs::{
     build_delta_table_reference, select_best_move, select_best_move_reference, simulated_annealing,
-    tabu_search, tabu_search_from_budgeted, AnnealingConfig, DeltaTable, DistanceMatrix, Graph,
-    QapProblem, ScanOutcome, SolverBudget, TabuConfig,
+    tabu_search, tabu_search_with, AnnealingConfig, DeltaTable, DistanceMatrix, Graph, QapProblem,
+    ScanOutcome, SolverBudget, TabuConfig, WarmStart,
 };
 use twoqan_repro::twoqan_math::cost::TwoQubitBasisCost;
 use twoqan_repro::twoqan_math::weyl::{MakhlinInvariants, WeylCoordinates};
@@ -755,7 +755,18 @@ fn budgeted_blocked_path_keeps_the_anytime_contract() {
             let start = p.random_assignment(rng);
             let start_cost = p.cost(&start);
             let budget = SolverBudget::with_deadline(deadline);
-            let r = tabu_search_from_budgeted(&p, start, &TabuConfig::default(), &budget);
+            // One warm-seeded restart is a plain descent from `start`; it
+            // ignores the seed it draws, so any generator will do.
+            let r = tabu_search_with(
+                &p,
+                &TabuConfig {
+                    restarts: 1,
+                    ..TabuConfig::default()
+                },
+                &budget,
+                Some(&WarmStart::new(start)),
+                &mut StdRng::seed_from_u64(0),
+            );
             assert!(p.is_valid_assignment(&r.assignment));
             assert_eq!(r.cost, p.cost(&r.assignment), "reported cost is stale");
             assert!(r.cost <= start_cost, "budgeted search lost ground");
