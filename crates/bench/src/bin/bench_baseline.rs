@@ -24,24 +24,24 @@
 //! ```
 //!
 //! Defaults: 9 samples per measurement, output to `BENCH_compiler.json` in
-//! the current directory, thread sweep `1,2,4` (override with `--threads`
-//! or the `TWOQAN_THREADS` env var; `0` = one worker per core).  `--smoke`
-//! is the CI mode: sizes 10/20 only, 1 sample, no n = 200 entry.
+//! the current directory, thread sweep `1,2,4` (override with `--threads`;
+//! `0` = one worker per core).  `--smoke` is the CI mode: sizes 10/20 only,
+//! 1 sample, no n = 200 entry.
 //!
 //! `--kernels` instead microbenchmarks the QAP delta-table kernels (build /
 //! apply / neighbourhood scan, blocked + SIMD vs. the reference
 //! implementations kept in `twoqan_graphs::tabu`) and the dense 4×4
 //! statevector kernel (SIMD vs. scalar), writing `BENCH_kernels.json`.
 //!
-//! `--check PATH` re-measures the n = 80 end-to-end compile and exits
-//! non-zero if its median regressed more than `--tolerance` percent
-//! (default 10) against the committed baseline at PATH — the CI perf guard.
-//! See `BENCHMARKS.md` for how to compare a full run against the checked-in
-//! baseline.
+//! `--check PATH` re-measures the n = 80 end-to-end compile and fails if it
+//! regressed more than `--tolerance` percent (default 10) against the
+//! committed baseline at PATH — the CI perf guard.  See `BENCHMARKS.md` for
+//! how to compare a full run against the checked-in baseline.
 
 use std::time::Instant;
 use twoqan::{BatchCompiler, BatchJob, Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
+use twoqan_bench::harness::{any, emit, gate, median, median_ms, Args, Baseline};
 use twoqan_bench::{scaling_device, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
@@ -55,27 +55,6 @@ use twoqan_sim::simd::{apply_general4, apply_general4_scalar};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Median of a sample vector (sorted in place).
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// Median wall-clock milliseconds of `samples` runs of `f`.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    // One warm-up run (populates the device distance cache etc.).
-    f();
-    median(
-        (0..samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    )
-}
 
 struct Entry {
     n: usize,
@@ -126,7 +105,7 @@ fn measure(n: usize, samples: usize) -> Entry {
     }
     let passes: Vec<(&'static str, f64)> = per_pass
         .into_iter()
-        .map(|(name, samples)| (name, median(samples)))
+        .map(|(name, mut samples)| (name, median(&mut samples)))
         .collect();
     let pass_ms = |name: &str| {
         passes
@@ -143,7 +122,7 @@ fn measure(n: usize, samples: usize) -> Entry {
         mapping_ms: pass_ms("qap-mapping"),
         routing_ms: pass_ms("permutation-routing"),
         scheduling_ms: pass_ms("alap-schedule"),
-        end_to_end_ms: median(end_to_end),
+        end_to_end_ms: median(&mut end_to_end),
         passes,
     }
 }
@@ -227,12 +206,12 @@ fn measure_batch(sizes: &[usize], samples: usize, thread_counts: &[usize]) -> Ba
             slot.push(time_one(driver));
         }
     }
-    let serial_ms = median(serial_samples);
+    let serial_ms = median(&mut serial_samples);
     let sweep = drivers
         .iter()
         .zip(config_samples)
-        .map(|(&(threads, _, workers), samples)| {
-            let ms = median(samples);
+        .map(|(&(threads, _, workers), mut samples)| {
+            let ms = median(&mut samples);
             eprintln!("batch sweep: requested {threads} threads -> {workers} workers, {ms:.3} ms");
             SweepPoint {
                 threads,
@@ -436,36 +415,15 @@ fn run_kernels(samples: usize, smoke: bool, out: &str) {
     }
     json.push_str("  ]\n");
     json.push_str("}\n");
-    std::fs::write(out, &json).expect("writing the kernel baseline file");
-    println!("{json}");
-    println!("wrote {out}");
+    emit(out, &json);
 }
 
 // ---------------------------------------------------------------------------
 // `--check`: the CI perf-regression guard.
 // ---------------------------------------------------------------------------
 
-/// Pulls `end_to_end_ms` of the `"n": 80` entry out of a committed
-/// `BENCH_compiler.json` (one entry per line, no JSON parser needed).
-fn committed_n80_end_to_end(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"n\": 80"))?;
-    let tail = line.split("\"end_to_end_ms\": ").nth(1)?;
-    let number: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    number.parse().ok()
-}
-
 fn run_check(baseline_path: &str, samples: usize, tolerance_pct: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let committed = committed_n80_end_to_end(&text).unwrap_or_else(|| {
-        eprintln!("--check: no \"n\": 80 entry with end_to_end_ms in {baseline_path}");
-        std::process::exit(2);
-    });
+    let committed = Baseline::read(baseline_path).require("\"n\": 80", "end_to_end_ms");
     let n = 80;
     let device = scaling_device(n);
     let circuit = trotter_step(&nnn_heisenberg(n, 1), 1.0);
@@ -473,10 +431,7 @@ fn run_check(baseline_path: &str, samples: usize, tolerance_pct: f64) {
         mapping_trials: 1,
         ..TwoQanConfig::default()
     });
-    // Warm up caches/frequency state, then gate on the *minimum* sample:
-    // scheduler noise and co-tenants only ever add time, so the floor is the
-    // stable statistic — a genuine regression raises it, transient load
-    // does not lower it.
+    // Warm up caches/frequency state, then gate on the minimum sample.
     for _ in 0..3 {
         compiler.compile(&circuit, &device).unwrap();
     }
@@ -487,15 +442,8 @@ fn run_check(baseline_path: &str, samples: usize, tolerance_pct: f64) {
             start.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min);
-    let ratio = measured / committed;
-    println!(
-        "n=80 end-to-end: best-of-{samples} {measured:.3} ms vs committed {committed:.3} ms \
-         (x{ratio:.3}, tolerance +{tolerance_pct:.0}%)"
-    );
-    if ratio > 1.0 + tolerance_pct / 100.0 {
-        eprintln!("PERF REGRESSION: n=80 end-to-end exceeds the committed baseline");
-        std::process::exit(1);
-    }
+    let label = format!("n=80 end-to-end best-of-{samples}");
+    gate(&label, measured, committed, tolerance_pct);
 }
 
 fn parse_thread_list(spec: &str) -> Option<Vec<usize>> {
@@ -506,96 +454,54 @@ fn parse_thread_list(spec: &str) -> Option<Vec<usize>> {
     list.filter(|l| !l.is_empty())
 }
 
+/// The command line; see the module docs.
+struct Options {
+    samples: usize,
+    out: Option<String>,
+    threads: Vec<usize>,
+    smoke: bool,
+    kernels: bool,
+    check: Option<String>,
+    tolerance_pct: f64,
+}
+
+fn options(args: &mut Args) -> Result<Options, String> {
+    let smoke = args.flag("--smoke");
+    let samples = args.value("--samples", "a positive integer", |&n| n > 0)?;
+    let threads = args.value(
+        "--threads",
+        "a comma-separated list of integers (0 = one per core), e.g. --threads 1,2,4",
+        |spec: &String| parse_thread_list(spec).is_some(),
+    )?;
+    let tolerance_pct = args.value("--tolerance", "a positive percentage", |&p| p > 0.0)?;
+    Ok(Options {
+        samples: if smoke { 1 } else { samples.unwrap_or(9) },
+        out: args.value("--out", "a path", any)?,
+        threads: threads.map_or(vec![1, 2, 4], |spec| parse_thread_list(&spec).unwrap()),
+        smoke,
+        kernels: args.flag("--kernels"),
+        check: args.value("--check", "the committed baseline path", any)?,
+        tolerance_pct: tolerance_pct.unwrap_or(10.0),
+    })
+}
+
 fn main() {
-    let mut samples = 9usize;
-    let mut out: Option<String> = None;
-    let mut threads: Option<Vec<usize>> = None;
-    let mut smoke = false;
-    let mut kernels = false;
-    let mut check: Option<String> = None;
-    let mut tolerance_pct = 10.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--samples" => {
-                samples = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--samples needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--threads" => {
-                threads = match args.next().as_deref().and_then(parse_thread_list) {
-                    Some(list) => Some(list),
-                    None => {
-                        eprintln!(
-                            "--threads needs a comma-separated list of integers \
-                             (0 = one per core), e.g. --threads 1,2,4"
-                        );
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--smoke" => {
-                smoke = true;
-            }
-            "--kernels" => {
-                kernels = true;
-            }
-            "--check" => {
-                check = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--check needs the committed baseline path");
-                    std::process::exit(2);
-                }));
-            }
-            "--tolerance" => {
-                tolerance_pct = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(p) if p > 0.0 => p,
-                    _ => {
-                        eprintln!("--tolerance needs a positive percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                out = Some(args.next().expect("--out needs a path"));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; supported: --samples N, --threads T1,T2,..., \
-                     --smoke, --kernels, --check PATH, --tolerance PCT, --out PATH"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke {
-        samples = 1;
-    }
-
-    if let Some(baseline) = check {
-        run_check(&baseline, samples, tolerance_pct);
+    let opts = Args::from_env(options);
+    let (samples, smoke) = (opts.samples, opts.smoke);
+    if let Some(baseline) = opts.check {
+        run_check(&baseline, samples, opts.tolerance_pct);
         return;
     }
-    if kernels {
-        let out = out.unwrap_or_else(|| "BENCH_kernels.json".into());
-        run_kernels(samples, smoke, &out);
+    if opts.kernels {
+        run_kernels(
+            samples,
+            smoke,
+            &opts.out.unwrap_or("BENCH_kernels.json".into()),
+        );
         return;
     }
 
-    // `--threads` wins over the TWOQAN_THREADS env var; default sweep 1/2/4.
-    let thread_counts = threads
-        .or_else(|| {
-            std::env::var("TWOQAN_THREADS")
-                .ok()
-                .as_deref()
-                .and_then(parse_thread_list)
-        })
-        .unwrap_or_else(|| vec![1, 2, 4]);
-
-    let out = out.unwrap_or_else(|| "BENCH_compiler.json".into());
+    let out = opts.out.unwrap_or("BENCH_compiler.json".into());
     let sizes: Vec<usize> = if smoke {
         SCALING_SIZES.iter().copied().take(2).collect()
     } else {
@@ -610,7 +516,7 @@ fn main() {
     }
     // The batch sweep sticks to the paper sizes; the n = 200 stress entry is
     // end-to-end only.
-    let batch = measure_batch(&sizes, samples, &thread_counts);
+    let batch = measure_batch(&sizes, samples, &opts.threads);
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -658,8 +564,5 @@ fn main() {
     }
     json.push_str("  ]}\n");
     json.push_str("}\n");
-
-    std::fs::write(&out, &json).expect("writing the baseline file");
-    println!("{json}");
-    println!("wrote {out}");
+    emit(&out, &json);
 }

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! cargo run --release -p twoqan-bench --bin bench_chaos [--smoke] \
-//!     [--cases N] [--seed S] [--out PATH] [--conformance]
+//!     [--cases N] [--seed S] [--out PATH]
 //! ```
 //!
 //! Full mode runs 240 seeded (fault class × deadline × workload × device ×
@@ -24,12 +24,8 @@
 //! * **anytime deadline probe** — an n = 80 workload compiled under a
 //!   10 ms deadline still yields a connectivity-valid circuit.
 //!
-//! `--smoke` runs the 40-case CI subset.  `--conformance` instead re-runs
-//! the conformance fuzz suite in its smoke configuration (the zero-fault
-//! chaos configuration *is* the stock pipeline) and writes the standard
-//! `VERIFY_conformance.json` schema, so CI can diff it against the
-//! `bench_verify --smoke` output byte for byte.  The exit code is non-zero
-//! if any contract is violated.
+//! `--smoke` runs the 40-case CI subset.  The exit code is non-zero if any
+//! contract is violated.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,14 +38,15 @@ use twoqan::{
     FaultInjector, TwoQanCompiler, TwoQanConfig,
 };
 use twoqan_baselines::{CompilerRegistry, RegistryOptions};
+use twoqan_bench::harness::{any, emit, Args};
 use twoqan_bench::report::Table;
 use twoqan_bench::scaling_device;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, trotter_step};
 use twoqan_verify::{
-    check_structural, random_device, random_workload, run_fuzz, verify_output, EquivalenceChecker,
-    FuzzConfig, RandomTopologyKind, RandomWorkloadKind,
+    check_structural, random_device, random_workload, verify_output, EquivalenceChecker,
+    RandomTopologyKind, RandomWorkloadKind,
 };
 
 /// The injected-fault classes a case cycles through.
@@ -223,57 +220,17 @@ fn deadline_probe() -> (f64, &'static str, bool) {
 }
 
 fn main() {
-    let mut cases = 240usize;
-    let mut seed = 20220611u64;
-    let mut out = String::from("BENCH_chaos.json");
-    let mut conformance = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cases = 40,
-            "--cases" => {
-                cases = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--cases needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                seed = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => out = args.next().expect("--out needs a path"),
-            "--conformance" => conformance = true,
-            other => {
-                eprintln!(
-                    "unknown argument {other}; supported: --smoke, --cases N, --seed S, \
-                     --out PATH, --conformance"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if conformance {
-        // The zero-fault chaos configuration is the stock pipeline: re-run
-        // the conformance smoke suite and emit the standard schema so CI
-        // can diff it against the bench_verify --smoke output.
-        let report = run_fuzz(&FuzzConfig::smoke());
-        std::fs::write(&out, report.to_json()).expect("writing the conformance reproduction");
-        println!(
-            "conformance reproduction: {}/{} cases passed, wrote {out}",
-            report.passed(),
-            report.results.len()
-        );
-        std::process::exit(if report.all_passed() { 0 } else { 1 });
-    }
+    let (cases, seed, out) = Args::from_env(|args| {
+        let smoke = args.flag("--smoke");
+        let cases = args.value("--cases", "a positive integer", |&n| n > 0)?;
+        let seed = args.value("--seed", "an integer", any)?;
+        let out = args.value("--out", "a path", any)?;
+        Ok((
+            cases.unwrap_or(if smoke { 40 } else { 240 }),
+            seed.unwrap_or(20220611),
+            out.unwrap_or("BENCH_chaos.json".to_string()),
+        ))
+    });
 
     let specs = build_cases(cases, seed);
     let jobs: Vec<BatchJob<'_>> = specs
@@ -405,8 +362,7 @@ fn main() {
          \"elapsed_ms\": {probe_ms:.3}, \"rung\": \"{probe_rung}\", \"valid\": {probe_valid}}}\n"
     ));
     json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writing the chaos summary");
-    println!("wrote {out}");
+    emit(&out, &json);
 
     let failed = equivalence_failures > 0 || identity_mismatches > 0 || !probe_valid;
     println!(

@@ -35,13 +35,13 @@
 //! unless every recompile took the warm path, every warm artifact passed
 //! its checks, and warm p50 beat cold p50.  `--smoke` is the CI mode: 20
 //! qubits, 2 cycles, same hard gates.  `--check PATH` re-measures the warm
-//! recompile p50 (best-of-two scenario runs on fresh services) and exits
-//! non-zero if it regressed more than `--tolerance` percent (default 50)
-//! against the committed baseline at PATH.  See `BENCHMARKS.md` for the
-//! output schema.
+//! recompile p50 and fails if it regressed more than `--tolerance` percent
+//! (default 50) against the committed baseline at PATH.  See
+//! `BENCHMARKS.md` for the output schema.
 
 use std::time::Instant;
 use twoqan::mapping::{mapping_cost, QubitMap};
+use twoqan_bench::harness::{any, emit, gate, mean, percentile, Args, Baseline};
 use twoqan_bench::noise::esp;
 use twoqan_bench::{scaling_device, Workload, WorkloadKind};
 use twoqan_circuit::Circuit;
@@ -204,18 +204,6 @@ fn run_scenario(qubits: usize, cycles: usize, quiet: bool) -> ScenarioNumbers {
     numbers
 }
 
-/// Percentile of a sample set by nearest-rank (sorted in place).
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)]
-}
-
-fn mean(samples: &[f64]) -> f64 {
-    samples.iter().sum::<f64>() / samples.len() as f64
-}
-
 fn write_report(numbers: &ScenarioNumbers, out: &str, elapsed_s: f64) {
     let mut warm = numbers.warm_ms.clone();
     let mut cold = numbers.cold_ms.clone();
@@ -263,9 +251,7 @@ fn write_report(numbers: &ScenarioNumbers, out: &str, elapsed_s: f64) {
         stats.invalidated_entries,
         stats.warm_speedup(),
     );
-    std::fs::write(out, &json).expect("writing the drift baseline file");
-    println!("{json}");
-    println!("wrote {out}");
+    emit(out, &json);
     if warm_p50 >= cold_p50 {
         eprintln!("GATE FAILED: warm recompile p50 did not beat the from-scratch p50");
         std::process::exit(1);
@@ -276,119 +262,54 @@ fn write_report(numbers: &ScenarioNumbers, out: &str, elapsed_s: f64) {
 // `--check`: the CI perf-regression guard on the warm recompile path.
 // ---------------------------------------------------------------------------
 
-/// Pulls `p50_ms` off the `"warm"` line of a committed `BENCH_drift.json`.
-fn committed_warm_p50(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"warm\""))?;
-    parse_field(line, "\"p50_ms\": ")
-}
-
-/// Pulls the scenario size off the `"qubits"` line.
-fn committed_qubits(text: &str) -> Option<usize> {
-    let line = text.lines().find(|l| l.contains("\"qubits\""))?;
-    parse_field(line, "\"qubits\": ").map(|n| n as usize)
-}
-
-fn parse_field(line: &str, key: &str) -> Option<f64> {
-    let tail = line.split(key).nth(1)?;
-    let number: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    number.parse().ok()
-}
-
 fn run_check(baseline_path: &str, tolerance_pct: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let committed = committed_warm_p50(&text).unwrap_or_else(|| {
-        eprintln!("--check: no \"warm\" entry with p50_ms in {baseline_path}");
-        std::process::exit(2);
-    });
-    let qubits = committed_qubits(&text).unwrap_or(80);
-    // Best-of-two scenario runs on fresh services: co-tenant load only ever
-    // adds time, so the per-cycle minimum is the stable statistic and the
-    // gate compares its median.
-    const CHECK_CYCLES: usize = 4;
-    let mut best = vec![f64::INFINITY; CHECK_CYCLES];
-    for _ in 0..2 {
-        let numbers = run_scenario(qubits, CHECK_CYCLES, true);
-        for (slot, ms) in best.iter_mut().zip(&numbers.warm_ms) {
-            *slot = slot.min(*ms);
-        }
-    }
+    let baseline = Baseline::read(baseline_path);
+    let committed = baseline.require("\"warm\"", "p50_ms");
+    let qubits = baseline
+        .field("\"qubits\"", "qubits")
+        .map_or(80, |n| n as usize);
+    // Two 4-cycle scenario runs on fresh services; the gate compares the
+    // median of the per-cycle minimum.
+    let (first, second) = (run_scenario(qubits, 4, true), run_scenario(qubits, 4, true));
+    let mut best: Vec<f64> = std::iter::zip(&first.warm_ms, &second.warm_ms)
+        .map(|(a, b)| a.min(*b))
+        .collect();
     let measured = percentile(&mut best, 50.0);
-    let ratio = measured / committed;
-    println!(
-        "drift warm-recompile p50 (n = {qubits}): best-of-2 {measured:.3} ms vs committed \
-         {committed:.3} ms (x{ratio:.3}, tolerance +{tolerance_pct:.0}%)"
-    );
-    if ratio > 1.0 + tolerance_pct / 100.0 {
-        eprintln!("PERF REGRESSION: warm recompile p50 exceeds the committed baseline");
-        std::process::exit(1);
-    }
+    let label = format!("drift warm-recompile p50 (n = {qubits}) best-of-2");
+    gate(&label, measured, committed, tolerance_pct);
+}
+
+/// The command line; see the module docs.
+struct Options {
+    qubits: usize,
+    cycles: usize,
+    check: Option<String>,
+    tolerance_pct: f64,
+    out: String,
+}
+
+fn options(args: &mut Args) -> Result<Options, String> {
+    let smoke = args.flag("--smoke");
+    let qubits = args.value("--qubits", "a positive integer", |&n| n > 0)?;
+    let cycles = args.value("--cycles", "a positive integer", |&n| n > 0)?;
+    let tolerance_pct = args.value("--tolerance", "a positive percentage", |&p| p > 0.0)?;
+    let out = args.value("--out", "a path", any)?;
+    Ok(Options {
+        qubits: if smoke { 20 } else { qubits.unwrap_or(80) },
+        cycles: if smoke { 2 } else { cycles.unwrap_or(6) },
+        check: args.value("--check", "the committed baseline path", any)?,
+        tolerance_pct: tolerance_pct.unwrap_or(50.0),
+        out: out.unwrap_or("BENCH_drift.json".into()),
+    })
 }
 
 fn main() {
-    let mut qubits = 80usize;
-    let mut cycles = 6usize;
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut tolerance = 50.0f64;
-    let mut out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--qubits" => {
-                qubits = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--qubits needs a positive integer");
-            }
-            "--cycles" => {
-                cycles = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cycles needs a positive integer");
-            }
-            "--smoke" => smoke = true,
-            "--check" => {
-                check = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--check needs the committed baseline path");
-                    std::process::exit(2);
-                }));
-            }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t: &f64| t > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--tolerance needs a positive percentage");
-                        std::process::exit(2);
-                    });
-            }
-            "--out" => out = Some(args.next().expect("--out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown argument {other}; known: --qubits N, --cycles N, --smoke, \
-                     --check PATH, --tolerance PCT, --out PATH"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(path) = check {
-        run_check(&path, tolerance);
+    let opts = Args::from_env(options);
+    if let Some(path) = opts.check {
+        run_check(&path, opts.tolerance_pct);
         return;
     }
-    if smoke {
-        qubits = 20;
-        cycles = 2;
-    }
-    let out = out.unwrap_or_else(|| "BENCH_drift.json".to_string());
     let start = Instant::now();
-    let numbers = run_scenario(qubits, cycles, false);
-    write_report(&numbers, &out, start.elapsed().as_secs_f64());
+    let numbers = run_scenario(opts.qubits, opts.cycles, false);
+    write_report(&numbers, &opts.out, start.elapsed().as_secs_f64());
 }

@@ -24,6 +24,7 @@
 //! [`TargetNoiseModel`]: twoqan_sim::TargetNoiseModel
 
 use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
+use twoqan_bench::harness::{any, emit, Args};
 use twoqan_bench::noise::esp_breakdown;
 use twoqan_bench::report::{write_csv, Table};
 use twoqan_bench::workloads::{Workload, WorkloadKind};
@@ -128,19 +129,11 @@ fn run_case(kind: WorkloadKind, n: usize, base_device: &Device, calib_seed: u64)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out = String::from("BENCH_noise.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = args.next().expect("--out needs a path"),
-            other => {
-                eprintln!("unknown argument {other}; supported: --smoke, --out PATH");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (smoke, out) = Args::from_env(|args| {
+        let smoke = args.flag("--smoke");
+        let out = args.value("--out", "a path", any)?;
+        Ok((smoke, out.unwrap_or("BENCH_noise.json".to_string())))
+    });
     let calib_seeds: &[u64] = if smoke { &[1] } else { &[1, 2, 3] };
 
     let mut results = Vec::new();
@@ -226,9 +219,8 @@ fn main() {
         geomean_ratio
     ));
     json.push_str("}\n");
-    std::fs::write(&out, &json).expect("writing the noise baseline file");
     println!("geomean ESP ratio (calibration-aware / hop-count): {geomean_ratio:.4}");
-    println!("wrote {out}");
+    emit(&out, &json);
 
     if !smoke && geomean_ratio <= 1.0 {
         eprintln!(

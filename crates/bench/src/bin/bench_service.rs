@@ -28,18 +28,17 @@
 //! a small population and 120 requests, exiting non-zero if the cache never
 //! hits, a hit is not bit-identical, or (with `--clients`) the same-key
 //! storm performs more than one compile.  `--check PATH` re-measures the
-//! cold-compile (miss) p50 over the population — best-of-two per combination
-//! on fresh caches, so transient load cannot fail the gate — and exits
-//! non-zero if it regressed more than `--tolerance` percent (default 50)
-//! against the committed baseline at PATH; when the baseline carries a
-//! `"contended"` entry it also re-measures the 4-client contended p99
-//! (best-of-two runs) against the same tolerance.  See `BENCHMARKS.md` for
-//! the output schema.
+//! cold-compile (miss) p50 over the population and fails if it regressed
+//! more than `--tolerance` percent (default 50) against the committed
+//! baseline at PATH; when the baseline carries a `"contended"` entry it also
+//! re-measures the contended p99 against the same tolerance.  See
+//! `BENCHMARKS.md` for the output schema.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 use twoqan_baselines::CompilerRegistry;
+use twoqan_bench::harness::{any, emit, gate, percentile, Args, Baseline};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
@@ -117,14 +116,6 @@ fn zipf_cdf(n: usize, s: f64) -> Vec<f64> {
 fn sample_rank(cdf: &[f64], rng: &mut StdRng) -> usize {
     let u = rng.gen::<f64>();
     cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
-}
-
-/// Percentile of a sample set by nearest-rank (sorted in place).
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)]
 }
 
 struct RunNumbers {
@@ -502,9 +493,7 @@ fn write_json(
         stats.invalidated_entries
     ));
     json.push_str("}\n");
-    std::fs::write(out, &json).expect("writing the service baseline file");
-    println!("{json}");
-    println!("wrote {out}");
+    emit(out, &json);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,50 +501,12 @@ fn write_json(
 // the committed baseline carries one, the contended p99.
 // ---------------------------------------------------------------------------
 
-/// Pulls `p50_ms` off the `"miss"` line of a committed `BENCH_service.json`
-/// (one object per line, no JSON parser needed).
-fn committed_miss_p50(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"miss\""))?;
-    parse_field(line, "\"p50_ms\": ")
-}
-
-/// Pulls `p99_ms` off the `"contended"` line, when the committed baseline
-/// was produced with `--clients`.
-fn committed_contended_p99(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"contended\""))?;
-    parse_field(line, "\"p99_ms\": ")
-}
-
-/// Pulls the `"count"` off the `"clients"` section's first line.
-fn committed_client_count(text: &str) -> Option<usize> {
-    let mut lines = text.lines().skip_while(|l| !l.contains("\"clients\""));
-    lines.next()?;
-    let line = lines.next()?;
-    parse_field(line, "\"count\": ").map(|n: f64| n as usize)
-}
-
-fn parse_field(line: &str, key: &str) -> Option<f64> {
-    let tail = line.split(key).nth(1)?;
-    let number: String = tail
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    number.parse().ok()
-}
-
 fn run_check(baseline_path: &str, tolerance_pct: f64) {
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("--check: cannot read {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let committed = committed_miss_p50(&text).unwrap_or_else(|| {
-        eprintln!("--check: no \"miss\" entry with p50_ms in {baseline_path}");
-        std::process::exit(2);
-    });
+    let baseline = Baseline::read(baseline_path);
+    let committed = baseline.require("\"miss\"", "p50_ms");
     let (devices, circuits, combos) = build_population(false);
     // Two passes over the population on fresh caches (every request a miss);
-    // the per-combination *minimum* is the stable statistic — co-tenant load
-    // only ever adds time — and the gate compares its median.
+    // the gate compares the median of the per-combination minimum.
     let mut best = vec![f64::INFINITY; combos.len()];
     for _ in 0..2 {
         let service = CompileService::new(ServiceConfig::default());
@@ -572,129 +523,70 @@ fn run_check(baseline_path: &str, tolerance_pct: f64) {
         }
     }
     let measured = percentile(&mut best, 50.0);
-    let ratio = measured / committed;
-    println!(
-        "service miss p50: best-of-2 {measured:.3} ms vs committed {committed:.3} ms \
-         (x{ratio:.3}, tolerance +{tolerance_pct:.0}%)"
+    gate(
+        "service miss p50 best-of-2",
+        measured,
+        committed,
+        tolerance_pct,
     );
-    if ratio > 1.0 + tolerance_pct / 100.0 {
-        eprintln!("PERF REGRESSION: service cold-compile p50 exceeds the committed baseline");
-        std::process::exit(1);
-    }
 
     // The contended gate only arms once a `--clients` baseline is committed.
-    let Some(committed_p99) = committed_contended_p99(&text) else {
+    let Some(committed_p99) = baseline.field("\"contended\"", "p99_ms") else {
         println!("service contended p99: no committed baseline, gate skipped");
         return;
     };
-    let clients = committed_client_count(&text).unwrap_or(4);
-    // Best-of-two full contended runs: concurrency jitter only adds time, so
-    // the minimum p99 is the comparable statistic.
+    let clients = baseline
+        .field("\"clients\"", "count")
+        .map_or(4, |n| n as usize);
+    // The minimum p99 of two full contended runs.
     let p99 = (0..2)
         .map(|_| {
             let (mut contended_ms, _, _, _) = run_contended(clients, 2000, 1.1, 42, false);
             percentile(&mut contended_ms, 99.0)
         })
         .fold(f64::INFINITY, f64::min);
-    let ratio = p99 / committed_p99;
-    println!(
-        "service contended p99 ({clients} clients): best-of-2 {p99:.3} ms vs committed \
-         {committed_p99:.3} ms (x{ratio:.3}, tolerance +{tolerance_pct:.0}%)"
-    );
-    if ratio > 1.0 + tolerance_pct / 100.0 {
-        eprintln!("PERF REGRESSION: service contended p99 exceeds the committed baseline");
-        std::process::exit(1);
-    }
+    let label = format!("service contended p99 ({clients} clients) best-of-2");
+    gate(&label, p99, committed_p99, tolerance_pct);
+}
+
+/// The command line; see the module docs.
+struct Options {
+    requests: usize,
+    zipf_s: f64,
+    seed: u64,
+    clients: Option<usize>,
+    out: String,
+    smoke: bool,
+    check: Option<String>,
+    tolerance_pct: f64,
+}
+
+fn options(args: &mut Args) -> Result<Options, String> {
+    let smoke = args.flag("--smoke");
+    let requests = args.value("--requests", "a positive integer", |&n| n > 0)?;
+    let zipf_s = args.value("--zipf", "a positive exponent", |&s| s > 0.0)?;
+    let out = args.value("--out", "a path", any)?;
+    let tolerance_pct = args.value("--tolerance", "a positive percentage", |&p| p > 0.0)?;
+    Ok(Options {
+        requests: if smoke { 120 } else { requests.unwrap_or(2000) },
+        zipf_s: zipf_s.unwrap_or(1.1),
+        seed: args.value("--seed", "an integer", any)?.unwrap_or(42),
+        clients: args.value("--clients", "an integer greater than 1", |&n| n > 1)?,
+        out: out.unwrap_or("BENCH_service.json".into()),
+        smoke,
+        check: args.value("--check", "the committed baseline path", any)?,
+        tolerance_pct: tolerance_pct.unwrap_or(50.0),
+    })
 }
 
 fn main() {
-    let mut requests = 2000usize;
-    let mut zipf_s = 1.1f64;
-    let mut seed = 42u64;
-    let mut clients = 0usize;
-    let mut out: Option<String> = None;
-    let mut smoke = false;
-    let mut check: Option<String> = None;
-    let mut tolerance_pct = 50.0f64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--requests" => {
-                requests = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--requests needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--zipf" => {
-                zipf_s = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(s) if s > 0.0 => s,
-                    _ => {
-                        eprintln!("--zipf needs a positive exponent");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                seed = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--clients" => {
-                clients = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 1 => n,
-                    _ => {
-                        eprintln!("--clients needs an integer greater than 1");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--smoke" => {
-                smoke = true;
-            }
-            "--check" => {
-                check = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--check needs the committed baseline path");
-                    std::process::exit(2);
-                }));
-            }
-            "--tolerance" => {
-                tolerance_pct = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(p) if p > 0.0 => p,
-                    _ => {
-                        eprintln!("--tolerance needs a positive percentage");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                out = Some(args.next().expect("--out needs a path"));
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; supported: --requests N, --zipf S, --seed SEED, \
-                     --clients N, --smoke, --check PATH, --tolerance PCT, --out PATH"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(baseline) = check {
-        run_check(&baseline, tolerance_pct);
+    let opts = Args::from_env(options);
+    let (requests, zipf_s, seed, smoke) = (opts.requests, opts.zipf_s, opts.seed, opts.smoke);
+    if let Some(baseline) = opts.check {
+        run_check(&baseline, opts.tolerance_pct);
         return;
     }
-    if smoke {
-        requests = 120;
-    }
 
-    let out = out.unwrap_or_else(|| "BENCH_service.json".into());
     let mut numbers = run_service(requests, zipf_s, seed, smoke);
     eprintln!(
         "{} requests over a population of {}: {} hits / {} misses (rate {:.3}), \
@@ -723,7 +615,7 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut client_numbers = if clients > 1 {
+    let mut client_numbers = opts.clients.map(|clients| {
         let numbers = run_clients(clients, requests, zipf_s, seed, smoke);
         eprintln!(
             "{} clients, {} contended requests: {} coalesced, {} rejected; \
@@ -743,12 +635,16 @@ fn main() {
             );
             std::process::exit(1);
         }
-        Some(numbers)
-    } else {
-        None
-    };
+        numbers
+    });
 
-    write_json(&mut numbers, client_numbers.as_mut(), zipf_s, seed, &out);
+    write_json(
+        &mut numbers,
+        client_numbers.as_mut(),
+        zipf_s,
+        seed,
+        &opts.out,
+    );
     if !smoke {
         // The acceptance bar for the committed baseline: a cache hit is at
         // least an order of magnitude cheaper than a cold compile.

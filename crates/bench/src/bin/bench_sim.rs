@@ -22,28 +22,14 @@
 //! can assert the bench path still produces its JSON in seconds.  See
 //! `BENCHMARKS.md` § Simulation for the schema and how to compare runs.
 
-use std::time::Instant;
 use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
+use twoqan_bench::harness::{any, emit, median_ms, Args};
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::QaoaProblem;
 use twoqan_math::gates;
 use twoqan_sim::kernels::{apply_single_kernel, apply_two_kernel, SingleKernel, TwoKernel};
 use twoqan_sim::{NoiseModel, SimEngine, StateVector, TrajectorySimulator};
-
-/// Median wall-clock milliseconds of `samples` runs of `f` (one warm-up).
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    times[times.len() / 2]
-}
 
 struct KernelEntry {
     name: &'static str,
@@ -243,38 +229,17 @@ fn measure_trajectories(n: usize, shots: usize, samples: usize) -> TrajectoryEnt
 }
 
 fn main() {
-    let mut samples = 7usize;
-    let mut out = String::from("BENCH_sim.json");
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--samples" => {
-                samples = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--samples needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                out = args.next().expect("--out needs a path");
-            }
-            "--smoke" => {
-                smoke = true;
-            }
-            other => {
-                eprintln!("unknown argument {other}; supported: --samples N, --out PATH, --smoke");
-                std::process::exit(2);
-            }
-        }
-    }
-
+    let (samples, out, smoke) = Args::from_env(|args| {
+        let smoke = args.flag("--smoke");
+        let samples = args.value("--samples", "a positive integer", |&n| n > 0)?;
+        let out = args.value("--out", "a path", any)?;
+        Ok((
+            if smoke { 1 } else { samples.unwrap_or(7) },
+            out.unwrap_or("BENCH_sim.json".to_string()),
+            smoke,
+        ))
+    });
     let (kernel_n, traj_n, shots) = if smoke { (8, 8, 2) } else { (20, 16, 32) };
-    if smoke {
-        samples = 1;
-    }
 
     let kernel_entries = measure_kernels(kernel_n, samples);
     let trajectory = measure_trajectories(traj_n, shots, samples.min(5));
@@ -313,8 +278,5 @@ fn main() {
     ));
     json.push_str("  ]\n");
     json.push_str("}\n");
-
-    std::fs::write(&out, &json).expect("writing the baseline file");
-    println!("{json}");
-    println!("wrote {out}");
+    emit(&out, &json);
 }

@@ -18,6 +18,7 @@
 //! case fails.
 
 use std::collections::BTreeMap;
+use twoqan_bench::harness::{any, emit, Args};
 use twoqan_bench::report::{write_csv, Table};
 use twoqan_verify::{run_fuzz, ConformanceReport, FuzzConfig};
 
@@ -61,43 +62,20 @@ fn summarise(report: &ConformanceReport) -> Table {
 }
 
 fn main() {
-    let mut config = FuzzConfig::full();
-    let mut out = String::from("VERIFY_conformance.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => {
-                config.combos = FuzzConfig::smoke().combos;
-            }
-            "--combos" => {
-                config.combos = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--combos needs a positive integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                config.seed = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed needs an integer");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                out = args.next().expect("--out needs a path");
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other}; supported: --smoke, --combos N, --seed S, --out PATH"
-                );
-                std::process::exit(2);
-            }
+    let (config, out) = Args::from_env(|args| {
+        let mut config = FuzzConfig::full();
+        if args.flag("--smoke") {
+            config.combos = FuzzConfig::smoke().combos;
         }
-    }
+        if let Some(combos) = args.value("--combos", "a positive integer", |&n| n > 0)? {
+            config.combos = combos;
+        }
+        if let Some(seed) = args.value("--seed", "an integer", any)? {
+            config.seed = seed;
+        }
+        let out = args.value("--out", "a path", any)?;
+        Ok((config, out.unwrap_or("VERIFY_conformance.json".to_string())))
+    });
 
     let report = run_fuzz(&config);
     summarise(&report).print();
@@ -113,9 +91,7 @@ fn main() {
         csv_path.display()
     );
 
-    let json = report.to_json();
-    std::fs::write(&out, &json).expect("writing the conformance summary");
-    println!("wrote {out}");
+    emit(&out, &report.to_json());
 
     let failures = report.failures();
     if failures.is_empty() {

@@ -5,10 +5,9 @@
 //! Usage: `cargo run --release -p twoqan-bench --bin fig07_sycamore [--quick]`
 
 use twoqan_bench::figures::{main_workloads, quick_mode, report_figure, run_compilation_sweep};
-use twoqan_device::{Device, TwoQubitBasis};
+use twoqan_device::Device;
 
 fn main() {
-    let _ = TwoQubitBasis::Cnot; // the CZ variants use this import; keep it uniform
     let device = Device::sycamore();
     let quick = quick_mode();
     let instance_cap = if quick { 3 } else { 10 };

@@ -8,7 +8,6 @@ use twoqan_bench::figures::{main_workloads, quick_mode, report_figure, run_compi
 use twoqan_device::{Device, TwoQubitBasis};
 
 fn main() {
-    let _ = TwoQubitBasis::Cnot; // the CZ variants use this import; keep it uniform
     let device = Device::sycamore().with_basis(TwoQubitBasis::Cz);
     let quick = quick_mode();
     let instance_cap = if quick { 3 } else { 10 };

@@ -11,9 +11,9 @@ use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::{heisenberg_lattice, LatticeDimensions, QaoaProblem};
 use twoqan_sim::{optimize_angles, NoiseModel};
 
-/// Returns `true` if `--quick` was passed on the command line.
+/// Returns `true` if `--quick`, the figure binaries' only flag, was passed.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
+    crate::harness::Args::from_env(|args| Ok(args.flag("--quick")))
 }
 
 /// The four workload families of the main evaluation figures.

@@ -9,6 +9,9 @@
 //!   compilers,
 //! * [`figures`] — the per-figure sweeps (compilation metrics per qubit
 //!   count per compiler) and the Fig. 10 application-performance evaluation,
+//! * [`harness`] — the plumbing of the `bench_*` binaries: argument
+//!   parsing, sample statistics, the committed-baseline scraper, the
+//!   `--check` regression gate and the JSON emitter,
 //! * [`report`] — plain-text table printing and CSV output under
 //!   `results/`.
 //!
@@ -20,6 +23,7 @@
 
 pub mod compilers;
 pub mod figures;
+pub mod harness;
 pub mod noise;
 pub mod report;
 pub mod workloads;

@@ -98,9 +98,10 @@ mod tests {
     fn installed_pool_is_used_without_spawning() {
         let pool = CompilePool::new(2);
         let _guard = pool.install();
-        let before = twoqan_pool::spawned_thread_census();
-        let results = run_indexed(32, true, |k| k * 7);
-        assert_eq!(twoqan_pool::spawned_thread_census(), before);
+        // Counted in a spawn scope, not as a census difference: other tests
+        // spawn threads concurrently.
+        let (results, spawned) = twoqan_pool::count_spawns(|| run_indexed(32, true, |k| k * 7));
+        assert_eq!(spawned, 0);
         assert_eq!(results, (0..32).map(|k| k * 7).collect::<Vec<_>>());
     }
 
@@ -108,9 +109,8 @@ mod tests {
     fn single_worker_pool_keeps_everything_inline() {
         let pool = CompilePool::new(1);
         let _guard = pool.install();
-        let before = twoqan_pool::spawned_thread_census();
-        let results = run_indexed(8, true, |k| k + 1);
-        assert_eq!(twoqan_pool::spawned_thread_census(), before);
+        let (results, spawned) = twoqan_pool::count_spawns(|| run_indexed(8, true, |k| k + 1));
+        assert_eq!(spawned, 0);
         assert_eq!(results, (1..=8).collect::<Vec<_>>());
     }
 }

@@ -291,7 +291,13 @@ impl CompilePool {
 
 impl Drop for CompilePool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before parking, so it either sees the flag or is already
+        // parked when the notification below goes out.
+        {
+            let _queue = self.inner.queue.lock().expect("pool queue poisoned");
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -518,6 +524,15 @@ mod tests {
             assert_eq!(inner, 4);
         });
         assert_eq!(outer, 2 + 2 + 4);
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_loses_the_shutdown_wakeup() {
+        // Workers that are about to park when the pool drops must still see
+        // the shutdown; a lost wakeup hangs `drop` in `join`.
+        for _ in 0..2000 {
+            drop(CompilePool::new(4));
+        }
     }
 
     #[test]
