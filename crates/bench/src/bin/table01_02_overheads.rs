@@ -4,7 +4,6 @@
 //!
 //! Usage: `cargo run --release -p twoqan-bench --bin table01_02_overheads [--quick]`
 
-use twoqan_bench::compilers::CompilerKind;
 use twoqan_bench::figures::{
     main_workloads, overhead_reduction_table, quick_mode, run_compilation_sweep,
 };
@@ -22,7 +21,7 @@ fn main() {
                 device.default_basis()
             ),
             &rows,
-            CompilerKind::TketLike,
+            "tket-like",
         )
         .print();
         overhead_reduction_table(
@@ -32,7 +31,7 @@ fn main() {
                 device.default_basis()
             ),
             &rows,
-            CompilerKind::QiskitLike,
+            "Qiskit-like",
         )
         .print();
     }

@@ -4,7 +4,6 @@
 //!
 //! Usage: `cargo run --release -p twoqan-bench --bin table04_05_cz [--quick]`
 
-use twoqan_bench::compilers::CompilerKind;
 use twoqan_bench::figures::{
     main_workloads, overhead_reduction_table, quick_mode, run_compilation_sweep,
 };
@@ -22,13 +21,13 @@ fn main() {
         overhead_reduction_table(
             &format!("{label} ({}, CZ basis): 2QAN vs t|ket>-like", device.name()),
             &rows,
-            CompilerKind::TketLike,
+            "tket-like",
         )
         .print();
         overhead_reduction_table(
             &format!("{label} ({}, CZ basis): 2QAN vs Qiskit-like", device.name()),
             &rows,
-            CompilerKind::QiskitLike,
+            "Qiskit-like",
         )
         .print();
     }

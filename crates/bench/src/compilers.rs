@@ -1,92 +1,38 @@
-//! A uniform interface over 2QAN and the baseline compilers.
-//!
-//! Compilation dispatch goes through `twoqan_baselines::CompilerRegistry`
-//! — [`CompilerKind`] only names the registry entries the paper's figures
-//! compare and carries the figure-specific compiler sets.
+//! The compiler sets the paper's figures compare, and compilation through
+//! `twoqan_baselines::CompilerRegistry` by display name.
 
-use twoqan::pipeline::{CompiledOutput, Compiler};
+use twoqan::pipeline::CompiledOutput;
 use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::{Circuit, HardwareMetrics, ScheduledCircuit};
 use twoqan_device::Device;
 
-/// The compilers compared in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CompilerKind {
-    /// The paper's compiler.
-    TwoQan,
-    /// The t|ket⟩-like order-respecting baseline.
-    TketLike,
-    /// The Qiskit-like order-respecting baseline.
-    QiskitLike,
-    /// The IC-QAOA-like commutation-aware baseline.
-    IcQaoa,
-    /// The Paulihedral-like block-ordered baseline.
-    Paulihedral,
-    /// The connectivity-unconstrained reference.
-    NoMap,
+/// The compiler set used for the Hamiltonian-model figures.
+pub const GENERAL: &[&str] = &["NoMap", "Qiskit-like", "tket-like", "2QAN"];
+
+/// The compiler set used for the QAOA figures on Montreal (adds IC-QAOA, as
+/// in Fig. 9j–l and Fig. 10).
+pub const QAOA: &[&str] = &["NoMap", "Qiskit-like", "tket-like", "IC-QAOA", "2QAN"];
+
+/// Compiles `circuit` for `device` with the stock-configuration registry
+/// compiler `name` and returns the full [`CompiledOutput`] (placements,
+/// per-pass report, metrics).
+pub fn compile_output(name: &str, circuit: &Circuit, device: &Device) -> CompiledOutput {
+    CompilerRegistry::by_name(name)
+        .unwrap_or_else(|| panic!("no registry compiler named '{name}'"))
+        .compile(circuit, device)
+        .expect("benchmark circuits fit on their devices")
 }
 
-impl CompilerKind {
-    /// The compiler set used for the Hamiltonian-model figures.
-    pub const GENERAL: [CompilerKind; 4] = [
-        CompilerKind::NoMap,
-        CompilerKind::QiskitLike,
-        CompilerKind::TketLike,
-        CompilerKind::TwoQan,
-    ];
-
-    /// The compiler set used for the QAOA figures on Montreal (adds
-    /// IC-QAOA, as in Fig. 9j–l and Fig. 10).
-    pub const QAOA: [CompilerKind; 5] = [
-        CompilerKind::NoMap,
-        CompilerKind::QiskitLike,
-        CompilerKind::TketLike,
-        CompilerKind::IcQaoa,
-        CompilerKind::TwoQan,
-    ];
-
-    /// Display name used in tables and CSV files (matches the registry).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CompilerKind::TwoQan => "2QAN",
-            CompilerKind::TketLike => "tket-like",
-            CompilerKind::QiskitLike => "Qiskit-like",
-            CompilerKind::IcQaoa => "IC-QAOA",
-            CompilerKind::Paulihedral => "Paulihedral-like",
-            CompilerKind::NoMap => "NoMap",
-        }
-    }
-
-    /// The stock-configuration registry entry for this kind.
-    pub fn compiler(&self) -> Box<dyn Compiler> {
-        CompilerRegistry::by_name(self.name())
-            .expect("every CompilerKind has a registry entry of the same name")
-    }
-
-    /// Compiles `circuit` for `device` through the registry and returns the
-    /// full [`CompiledOutput`] (placements, per-pass report, metrics).
-    pub fn compile_output(&self, circuit: &Circuit, device: &Device) -> CompiledOutput {
-        self.compiler()
-            .compile(circuit, device)
-            .expect("benchmark circuits fit on their devices")
-    }
-
-    /// Compiles `circuit` for `device` and returns the scheduled hardware
-    /// circuit together with its metrics for the device's default basis.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> (ScheduledCircuit, HardwareMetrics) {
-        let out = self.compile_output(circuit, device);
-        (out.hardware_circuit, out.metrics)
-    }
-}
-
-impl std::fmt::Display for CompilerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name())
-    }
+/// Compiles `circuit` for `device` with the registry compiler `name` and
+/// returns the scheduled hardware circuit together with its metrics for the
+/// device's default basis.
+pub fn compile(
+    name: &str,
+    circuit: &Circuit,
+    device: &Device,
+) -> (ScheduledCircuit, HardwareMetrics) {
+    let out = compile_output(name, circuit, device);
+    (out.hardware_circuit, out.metrics)
 }
 
 /// One row of a compilation-metrics table: a (workload, size, instance,
@@ -169,7 +115,7 @@ impl MetricsRow {
     pub fn new(
         workload: &str,
         device: &Device,
-        compiler: CompilerKind,
+        compiler: &str,
         qubits: usize,
         instance: usize,
         metrics: &HardwareMetrics,
@@ -181,7 +127,7 @@ impl MetricsRow {
             workload: workload.to_string(),
             device: device.name().to_string(),
             basis: device.default_basis().name().to_string(),
-            compiler: compiler.name().to_string(),
+            compiler: compiler.to_string(),
             qubits,
             instance,
             swaps: metrics.swap_count,
@@ -237,18 +183,18 @@ mod tests {
     fn every_compiler_produces_hardware_compatible_output() {
         let w = Workload::generate(WorkloadKind::QaoaRegular(3), 8, 0);
         let device = Device::montreal();
-        for kind in CompilerKind::QAOA {
-            let (schedule, metrics) = kind.compile(&w.circuit, &device);
-            if kind != CompilerKind::NoMap {
+        for &name in QAOA {
+            let (schedule, metrics) = compile(name, &w.circuit, &device);
+            if name != "NoMap" {
                 assert!(
                     schedule
                         .iter_gates()
                         .filter(|g| g.is_two_qubit())
                         .all(|g| device.are_adjacent(g.qubit0(), g.qubit1())),
-                    "{kind} produced a non-NN gate"
+                    "{name} produced a non-NN gate"
                 );
             }
-            assert!(metrics.hardware_two_qubit_count >= 24, "{kind}");
+            assert!(metrics.hardware_two_qubit_count >= 24, "{name}");
         }
     }
 
@@ -256,9 +202,9 @@ mod tests {
     fn two_qan_never_uses_more_swaps_than_generic_baselines() {
         let w = Workload::generate(WorkloadKind::NnnIsing, 12, 0);
         let device = Device::montreal();
-        let (_, ours) = CompilerKind::TwoQan.compile(&w.circuit, &device);
-        let (_, tket) = CompilerKind::TketLike.compile(&w.circuit, &device);
-        let (_, qiskit) = CompilerKind::QiskitLike.compile(&w.circuit, &device);
+        let (_, ours) = compile("2QAN", &w.circuit, &device);
+        let (_, tket) = compile("tket-like", &w.circuit, &device);
+        let (_, qiskit) = compile("Qiskit-like", &w.circuit, &device);
         assert!(ours.swap_count <= tket.swap_count);
         assert!(ours.swap_count <= qiskit.swap_count);
     }
@@ -267,13 +213,13 @@ mod tests {
     fn metrics_row_roundtrip() {
         let w = Workload::generate(WorkloadKind::NnnXy, 8, 0);
         let device = Device::grid(2, 4, TwoQubitBasis::Cnot);
-        let (_, base) = CompilerKind::NoMap.compile(&w.circuit, &device);
-        let (schedule, ours) = CompilerKind::TwoQan.compile(&w.circuit, &device);
+        let (_, base) = compile("NoMap", &w.circuit, &device);
+        let (schedule, ours) = compile("2QAN", &w.circuit, &device);
         let noise = crate::noise::noise_point(&schedule, &device);
         let row = MetricsRow::new(
             "NNN-XY",
             &device,
-            CompilerKind::TwoQan,
+            "2QAN",
             8,
             0,
             &ours,
@@ -313,17 +259,17 @@ mod tests {
 
     #[test]
     fn compiler_names_are_stable() {
-        assert_eq!(CompilerKind::TwoQan.to_string(), "2QAN");
-        assert_eq!(CompilerKind::NoMap.name(), "NoMap");
-        assert_eq!(CompilerKind::GENERAL.len(), 4);
-        assert_eq!(CompilerKind::QAOA.len(), 5);
+        for &name in GENERAL.iter().chain(QAOA) {
+            assert!(CompilerRegistry::NAMES.contains(&name), "{name}");
+        }
+        assert_eq!((GENERAL.len(), QAOA.len()), (4, 5));
     }
 
     #[test]
     fn compile_output_exposes_placements_and_pass_report() {
         let w = Workload::generate(WorkloadKind::NnnIsing, 8, 0);
         let device = Device::aspen();
-        let out = CompilerKind::TwoQan.compile_output(&w.circuit, &device);
+        let out = compile_output("2QAN", &w.circuit, &device);
         assert_eq!(out.compiler, "2QAN");
         assert_eq!(out.initial_placement.len(), 8);
         assert!(out.final_placement.is_some());

@@ -1,6 +1,6 @@
 //! Per-figure and per-table benchmark sweeps.
 
-use crate::compilers::{CompilerKind, MetricsRow};
+use crate::compilers::{compile, MetricsRow, GENERAL, QAOA};
 use crate::report::{format_ratio, write_csv, Table};
 use crate::workloads::{Workload, WorkloadKind};
 use std::collections::BTreeMap;
@@ -44,19 +44,19 @@ pub fn run_compilation_sweep(
             Workload::paper_sizes(kind, device.num_qubits())
         };
         let instances = kind.default_instances().min(instance_cap).max(1);
-        let compilers: &[CompilerKind] = if matches!(kind, WorkloadKind::QaoaRegular(_))
+        let compilers = if matches!(kind, WorkloadKind::QaoaRegular(_))
             && device.default_basis() == TwoQubitBasis::Cnot
         {
-            &CompilerKind::QAOA
+            QAOA
         } else {
-            &CompilerKind::GENERAL
+            GENERAL
         };
         for &n in &sizes {
             for instance in 0..instances {
                 let workload = Workload::generate(kind, n, instance);
-                let (_, baseline) = CompilerKind::NoMap.compile(&workload.circuit, device);
+                let (_, baseline) = compile("NoMap", &workload.circuit, device);
                 for &compiler in compilers {
-                    let (schedule, metrics) = compiler.compile(&workload.circuit, device);
+                    let (schedule, metrics) = compile(compiler, &workload.circuit, device);
                     let noise = crate::noise::noise_point(&schedule, device);
                     rows.push(MetricsRow::new(
                         &kind.name(),
@@ -137,7 +137,7 @@ pub fn report_figure(figure: &str, device: &Device, rows: &[MetricsRow]) -> Vec<
 /// Builds the overhead-reduction table (Tables I/II/IV/V): for each workload,
 /// the average and maximum ratio of `other`'s overhead to 2QAN's overhead in
 /// SWAP count, hardware gate count and two-qubit depth.
-pub fn overhead_reduction_table(title: &str, rows: &[MetricsRow], other: CompilerKind) -> Table {
+pub fn overhead_reduction_table(title: &str, rows: &[MetricsRow], other: &str) -> Table {
     let mut table = Table::new(
         title,
         &[
@@ -164,9 +164,9 @@ pub fn overhead_reduction_table(title: &str, rows: &[MetricsRow], other: Compile
             let entry = points
                 .entry((row.qubits, row.instance))
                 .or_insert((None, None));
-            if row.compiler == CompilerKind::TwoQan.name() {
+            if row.compiler == "2QAN" {
                 entry.0 = Some(row);
-            } else if row.compiler == other.name() {
+            } else if row.compiler == other {
                 entry.1 = Some(row);
             }
         }
@@ -263,9 +263,9 @@ pub fn run_qaoa_fidelity(
             let (gamma, beta) = QaoaProblem::optimal_p1_angles_regular3();
             let layer_circuit = problem.circuit(&[(gamma, beta)], false);
             // Compile the single layer once per compiler.
-            let mut compiled: Vec<(CompilerKind, HardwareMetrics)> = Vec::new();
-            for &compiler in &CompilerKind::QAOA {
-                let (_, metrics) = compiler.compile(&layer_circuit, &device);
+            let mut compiled: Vec<(&str, HardwareMetrics)> = Vec::new();
+            for &compiler in QAOA {
+                let (_, metrics) = compile(compiler, &layer_circuit, &device);
                 compiled.push((compiler, metrics));
             }
             let cost_minimum = problem.cost_minimum();
@@ -282,7 +282,7 @@ pub fn run_qaoa_fidelity(
                         qubits: n,
                         instance,
                         layers,
-                        compiler: compiler.name().to_string(),
+                        compiler: compiler.to_string(),
                         fidelity,
                         ideal_normalized,
                         noisy_normalized: fidelity * ideal_normalized,
@@ -443,13 +443,13 @@ pub fn run_fig13(quick: bool) -> Vec<MetricsRow> {
             let (gamma, beta) = QaoaProblem::optimal_p1_angles_regular3();
             let single_layer = problem.circuit(&[(gamma, beta)], false);
             let three_layer = problem.circuit(&vec![(gamma, beta); layers], false);
-            let (_, baseline_single) = CompilerKind::NoMap.compile(&single_layer, &device);
+            let (_, baseline_single) = compile("NoMap", &single_layer, &device);
             let baseline = scale_metrics(&baseline_single, layers);
-            for &compiler in &CompilerKind::QAOA {
+            for &compiler in QAOA {
                 let (metrics, esp, duration_ns) = match compiler {
                     // 2QAN: compile the first layer, replicate (reversing even layers).
-                    CompilerKind::TwoQan | CompilerKind::NoMap => {
-                        let (schedule, m) = compiler.compile(&single_layer, &device);
+                    "2QAN" | "NoMap" => {
+                        let (schedule, m) = compile(compiler, &single_layer, &device);
                         let noise = crate::noise::noise_point(&schedule, &device);
                         (
                             scale_metrics(&m, layers),
@@ -459,7 +459,7 @@ pub fn run_fig13(quick: bool) -> Vec<MetricsRow> {
                     }
                     // Generic compilers process the whole multi-layer circuit.
                     _ => {
-                        let (schedule, m) = compiler.compile(&three_layer, &device);
+                        let (schedule, m) = compile(compiler, &three_layer, &device);
                         let noise = crate::noise::noise_point(&schedule, &device);
                         (m, noise.breakdown.esp(), noise.duration_ns)
                     }
@@ -490,11 +490,8 @@ mod tests {
         let device = Device::aspen();
         let rows = run_compilation_sweep(&device, &[WorkloadKind::NnnIsing], true, 1);
         assert!(!rows.is_empty());
-        for compiler in CompilerKind::GENERAL {
-            assert!(
-                rows.iter().any(|r| r.compiler == compiler.name()),
-                "{compiler}"
-            );
+        for &compiler in GENERAL {
+            assert!(rows.iter().any(|r| r.compiler == compiler), "{compiler}");
         }
         // Every 2QAN row must have at most as many SWAPs as the matching
         // Qiskit-like row.
@@ -521,7 +518,7 @@ mod tests {
             true,
             1,
         ));
-        let table = overhead_reduction_table("test", &rows, CompilerKind::QiskitLike);
+        let table = overhead_reduction_table("test", &rows, "Qiskit-like");
         assert_eq!(table.num_rows(), 2);
     }
 
@@ -545,7 +542,7 @@ mod tests {
     fn scale_metrics_multiplies_counts() {
         let device = Device::montreal();
         let w = Workload::generate(WorkloadKind::QaoaRegular(3), 6, 0);
-        let (_, m) = CompilerKind::TwoQan.compile(&w.circuit, &device);
+        let (_, m) = compile("2QAN", &w.circuit, &device);
         let scaled = scale_metrics(&m, 3);
         assert_eq!(
             scaled.hardware_two_qubit_count,

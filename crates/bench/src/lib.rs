@@ -28,6 +28,6 @@ pub mod noise;
 pub mod report;
 pub mod workloads;
 
-pub use compilers::{CompilerKind, MetricsRow};
+pub use compilers::MetricsRow;
 pub use report::{write_csv, Table};
 pub use workloads::{scaling_device, Workload, WorkloadKind, LARGE_SCALING_SIZE, SCALING_SIZES};

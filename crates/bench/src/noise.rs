@@ -56,7 +56,7 @@ pub fn esp(schedule: &ScheduledCircuit, device: &Device) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compilers::CompilerKind;
+    use crate::compilers::compile;
     use crate::workloads::{Workload, WorkloadKind};
     use twoqan_device::Device;
 
@@ -65,8 +65,8 @@ mod tests {
         let device = Device::montreal();
         let small = Workload::generate(WorkloadKind::NnnIsing, 6, 0);
         let large = Workload::generate(WorkloadKind::NnnIsing, 14, 0);
-        let (s_small, _) = CompilerKind::TwoQan.compile(&small.circuit, &device);
-        let (s_large, _) = CompilerKind::TwoQan.compile(&large.circuit, &device);
+        let (s_small, _) = compile("2QAN", &small.circuit, &device);
+        let (s_large, _) = compile("2QAN", &large.circuit, &device);
         let e_small = esp(&s_small, &device);
         let e_large = esp(&s_large, &device);
         assert!(e_small > 0.0 && e_small < 1.0);
@@ -81,7 +81,7 @@ mod tests {
         // and mutually consistent, never "decoheres over a 0 ns circuit".
         let device = Device::montreal();
         let w = Workload::generate(WorkloadKind::NnnIsing, 8, 0);
-        let (schedule, metrics) = CompilerKind::NoMap.compile(&w.circuit, &device);
+        let (schedule, metrics) = compile("NoMap", &w.circuit, &device);
         assert_eq!(metrics.duration_ns, 0.0, "deviceless metrics carry none");
         let point = noise_point(&schedule, &device);
         assert!(point.duration_ns > 0.0);
@@ -92,7 +92,7 @@ mod tests {
     fn esp_breakdown_factors_multiply_to_esp() {
         let device = Device::aspen();
         let w = Workload::generate(WorkloadKind::NnnXy, 8, 0);
-        let (s, _) = CompilerKind::TwoQan.compile(&w.circuit, &device);
+        let (s, _) = compile("2QAN", &w.circuit, &device);
         let b = esp_breakdown(&s, &device);
         assert!((b.esp() - esp(&s, &device)).abs() < 1e-15);
         assert!(b.gate <= 1.0 && b.idle <= 1.0 && b.readout <= 1.0);

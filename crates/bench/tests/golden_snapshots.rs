@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
-use twoqan_bench::compilers::{CompilerKind, MetricsRow};
+use twoqan_bench::compilers::{compile, MetricsRow, GENERAL, QAOA};
 use twoqan_bench::figures::run_qaoa_fidelity;
 use twoqan_bench::report::results_dir;
 use twoqan_bench::workloads::{Workload, WorkloadKind};
@@ -37,15 +37,15 @@ fn recompute_fig09_rows(
     kind: WorkloadKind,
     n: usize,
     instance: usize,
-    compilers: &[CompilerKind],
+    compilers: &[&str],
 ) -> Vec<String> {
     let device = Device::montreal();
     let workload = Workload::generate(kind, n, instance);
-    let (_, baseline) = CompilerKind::NoMap.compile(&workload.circuit, &device);
+    let (_, baseline) = compile("NoMap", &workload.circuit, &device);
     compilers
         .iter()
         .map(|&compiler| {
-            let (schedule, metrics) = compiler.compile(&workload.circuit, &device);
+            let (schedule, metrics) = compile(compiler, &workload.circuit, &device);
             let noise = twoqan_bench::noise::noise_point(&schedule, &device);
             MetricsRow::new(
                 &kind.name(),
@@ -71,14 +71,14 @@ fn fig09_subset() -> Vec<String> {
             WorkloadKind::NnnHeisenberg,
             n,
             0,
-            &CompilerKind::GENERAL,
+            GENERAL,
         ));
     }
     rows.extend(recompute_fig09_rows(
         WorkloadKind::QaoaRegular(3),
         4,
         0,
-        &CompilerKind::QAOA,
+        QAOA,
     ));
     rows
 }

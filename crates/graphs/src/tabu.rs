@@ -176,7 +176,7 @@ impl DeltaTable {
     }
 
     /// Builds the table under a cooperative budget, checked once per
-    /// [`BUDGET_CHECK_ROWS`]-row tile.  Returns `None` if the budget expires
+    /// `BUDGET_CHECK_ROWS`-row tile.  Returns `None` if the budget expires
     /// mid-build so deadline-limited solvers can fall back to best-so-far
     /// without paying for the rest of the O(n³) build.
     pub fn new_budgeted(
@@ -358,7 +358,7 @@ pub enum ScanOutcome {
 /// Candidate replacement is tie-aware (`delta < d`, or `delta == d` at a
 /// lex-smaller `(i, j)`), which makes the result order-independent and equal
 /// to the reference scan's first-wins winner.  The budget is checked once
-/// per [`BUDGET_CHECK_ROWS`]-row tile.
+/// per `BUDGET_CHECK_ROWS`-row tile.
 pub fn select_best_move(
     table: &DeltaTable,
     problem: &QapProblem,

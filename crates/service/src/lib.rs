@@ -74,6 +74,17 @@
 //!   behind the pool — the caller sheds load, retries later, or routes
 //!   elsewhere.  Hits and followers are never rejected: they consume no
 //!   compile capacity.
+//!
+//! # One request path
+//!
+//! `request`, `recompile` and `request_batch` share one front half (count,
+//! resolve the compiler, hash, probe the cache), one admission, one leader
+//! path and one follower path; a batch only runs its leaders side by side
+//! on the pool.  The key format ([`cache_key`], [`stable_key`], the device
+//! fingerprint) lives in `key.rs`, and the bounded LRU map behind both the
+//! cache shards and the placement index in `lru.rs`.
+//!
+//! [`Target`]: twoqan_device::Target
 
 #![deny(missing_docs)]
 
@@ -82,12 +93,18 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use twoqan::hash::ContentHasher;
 use twoqan::pipeline::{CompiledOutput, Compiler, DegradationRung};
 use twoqan::{BatchCompiler, BatchJob, CompileError, CompilePool};
 use twoqan_baselines::CompilerRegistry;
-use twoqan_circuit::{Circuit, GateKind};
-use twoqan_device::{Device, Target, TwoQubitBasis};
+use twoqan_circuit::Circuit;
+use twoqan_device::Device;
+
+mod key;
+mod lru;
+
+use key::device_fingerprint;
+pub use key::{cache_key, stable_key};
+use lru::Lru;
 
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,66 +360,12 @@ impl Stats {
     }
 }
 
+/// A cached artifact.
 struct Entry {
     output: Arc<CompiledOutput>,
-    /// Monotonic use counter value at the last touch — exact LRU order.
-    last_used: u64,
     /// Hash of the (device, target) snapshot the artifact was compiled
     /// against, for eager [`CompileService::invalidate_device`].
     device_fingerprint: u128,
-}
-
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u128, Entry>,
-    clock: u64,
-}
-
-impl Shard {
-    fn touch(&mut self, key: u128) -> Option<Arc<CompiledOutput>> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(&key).map(|e| {
-            e.last_used = clock;
-            Arc::clone(&e.output)
-        })
-    }
-
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one first when the shard is at capacity.  The O(n) eviction scan is
-    /// deliberate: inserts only happen on misses, which already paid for a
-    /// full compile — thousands of times the scan's cost.
-    fn insert(
-        &mut self,
-        key: u128,
-        output: Arc<CompiledOutput>,
-        device_fingerprint: u128,
-        capacity: usize,
-    ) -> u64 {
-        let mut evicted = 0;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= capacity.max(1) {
-                let lru = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(&k, _)| k)
-                    .expect("non-empty shard has an LRU entry");
-                self.entries.remove(&lru);
-                evicted += 1;
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                output,
-                last_used: self.clock,
-                device_fingerprint,
-            },
-        );
-        evicted
-    }
 }
 
 /// What [`CompileService::recompile`] remembers about the last successful
@@ -416,40 +379,43 @@ struct PlacementRecord {
     placement: Vec<usize>,
 }
 
-/// The bounded LRU index from [`stable_key`] to [`PlacementRecord`].
-/// Placements survive device drift by construction (the key excludes the
-/// calibration snapshot), which is the whole point: when drift invalidates
-/// an artifact, its placement is still here to warm-start the recompile.
-#[derive(Default)]
-struct PlacementIndex {
-    entries: HashMap<u128, (PlacementRecord, u64)>,
-    clock: u64,
+/// The answer to one request.
+type Answer = Result<ServiceResponse, ServiceError>;
+
+/// A leader compile's result, the milliseconds from request arrival to
+/// compile start, and the compile milliseconds.
+type Timed = (Result<CompiledOutput, CompileError>, f64, f64);
+
+/// A request the cache probe of [`CompileService::probe`] could not answer:
+/// its registered compiler, its operands and cache key, and the bookkeeping
+/// every response reports.
+struct Pending<'a> {
+    compiler: &'a dyn Compiler,
+    circuit: &'a Circuit,
+    device: &'a Device,
+    key: u128,
+    arrival: Instant,
+    queue_depth: usize,
 }
 
-impl PlacementIndex {
-    fn touch(&mut self, key: u128) -> Option<PlacementRecord> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(&key).map(|(record, last_used)| {
-            *last_used = clock;
-            record.clone()
-        })
-    }
-
-    fn record(&mut self, key: u128, record: PlacementRecord, capacity: usize) {
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= capacity.max(1) {
-                let lru = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, last_used))| *last_used)
-                    .map(|(&k, _)| k)
-                    .expect("non-empty index has an LRU entry");
-                self.entries.remove(&lru);
-            }
+impl Pending<'_> {
+    /// A response serving `output` under `key`, timed like a hit — the
+    /// whole wall clock is queue wait — until the caller overrides fields.
+    fn respond(&self, output: Arc<CompiledOutput>, key: u128, warm: bool) -> ServiceResponse {
+        let wall_ms = ms_since(self.arrival);
+        ServiceResponse {
+            output,
+            hit: false,
+            coalesced: false,
+            warm,
+            cached: false,
+            key,
+            queue_wait_ms: wall_ms,
+            coalesced_wait_ms: 0.0,
+            compile_ms: 0.0,
+            wall_ms,
+            queue_depth: self.queue_depth,
         }
-        self.clock += 1;
-        self.entries.insert(key, (record, self.clock));
     }
 }
 
@@ -530,8 +496,9 @@ impl Drop for FlightLease<'_> {
 /// any number of threads concurrently.
 pub struct CompileService {
     compilers: Vec<Box<dyn Compiler>>,
-    shards: Vec<Mutex<Shard>>,
-    shard_capacity: usize,
+    /// The artifact cache: independently locked LRU shards sharing
+    /// [`ServiceConfig::capacity`] evenly.
+    shards: Vec<Mutex<Lru<Entry>>>,
     /// In-flight compiles keyed by cache key, sharded like the cache so
     /// leader registration and follower lookup contend per shard only.
     flights: Vec<Mutex<HashMap<u128, Arc<Flight>>>>,
@@ -539,10 +506,13 @@ pub struct CompileService {
     in_flight: AtomicUsize,
     /// Admission cap (`0` = unbounded); see [`ServiceConfig::max_in_flight`].
     max_in_flight: usize,
-    /// Drift-stable placement index feeding warm-start recompiles, bounded
-    /// by the same capacity as the artifact cache.
-    placements: Mutex<PlacementIndex>,
-    placement_capacity: usize,
+    /// The drift-stable placement index from [`stable_key`] to
+    /// [`PlacementRecord`] feeding warm-start recompiles, bounded by the
+    /// same capacity as the artifact cache.  Placements survive device
+    /// drift by construction (the key excludes the calibration snapshot),
+    /// which is the whole point: when drift invalidates an artifact, its
+    /// placement is still here to warm-start the recompile.
+    placements: Mutex<Lru<PlacementRecord>>,
     batch: BatchCompiler,
     pool: CompilePool,
     stats: Stats,
@@ -571,13 +541,13 @@ impl CompileService {
         };
         Self {
             compilers,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: config.capacity.max(1).div_ceil(shards),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Lru::new(config.capacity.div_ceil(shards))))
+                .collect(),
             flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight,
-            placements: Mutex::new(PlacementIndex::default()),
-            placement_capacity: config.capacity.max(1),
+            placements: Mutex::new(Lru::new(config.capacity)),
             batch: BatchCompiler::new(threads).with_retries(config.retries),
             pool: CompilePool::new(threads),
             stats: Stats::default(),
@@ -593,7 +563,7 @@ impl CompileService {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").entries.len())
+            .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }
 
@@ -610,10 +580,8 @@ impl CompileService {
     /// The content-addressed cache key the service would use for this
     /// request, or `None` for an unregistered compiler name.
     pub fn key_for(&self, compiler: &str, circuit: &Circuit, device: &Device) -> Option<u128> {
-        self.compilers
-            .iter()
-            .find(|c| c.name() == compiler)
-            .map(|c| cache_key(c.as_ref(), circuit, device))
+        self.compiler(compiler)
+            .map(|c| cache_key(c, circuit, device))
     }
 
     /// Serves one request: a cache hit returns the stored artifact, a miss
@@ -635,31 +603,10 @@ impl CompileService {
         circuit: &Circuit,
         device: &Device,
     ) -> Result<ServiceResponse, ServiceError> {
-        let arrival = Instant::now();
-        Stats::bump(&self.stats.requests);
-        let queue_depth = self.in_flight.load(Ordering::Relaxed);
-        let Some(chosen) = self.compilers.iter().find(|c| c.name() == compiler) else {
-            Stats::bump(&self.stats.errors);
-            return Err(ServiceError::UnknownCompiler {
-                name: compiler.to_string(),
-            });
-        };
-        let key = cache_key(chosen.as_ref(), circuit, device);
-        if let Some(output) = self.shard(key).touch(key) {
-            Stats::bump(&self.stats.hits);
-            return Ok(self.hit_response(output, key, arrival, queue_depth));
+        match self.probe(compiler, circuit, device, Instant::now()) {
+            Ok(pending) => self.serve_miss(&pending, pending.compiler, pending.key, false),
+            Err(answer) => answer,
         }
-        let stable = stable_key(chosen.as_ref(), circuit, device);
-        self.serve_miss(
-            chosen.as_ref(),
-            circuit,
-            device,
-            key,
-            stable,
-            false,
-            arrival,
-            queue_depth,
-        )
     }
 
     /// Recompiles a workload whose cached artifact was invalidated by
@@ -690,175 +637,276 @@ impl CompileService {
         circuit: &Circuit,
         device: &Device,
     ) -> Result<ServiceResponse, ServiceError> {
-        let arrival = Instant::now();
-        Stats::bump(&self.stats.requests);
-        let queue_depth = self.in_flight.load(Ordering::Relaxed);
-        let Some(chosen) = self.compilers.iter().find(|c| c.name() == compiler) else {
-            Stats::bump(&self.stats.errors);
-            return Err(ServiceError::UnknownCompiler {
-                name: compiler.to_string(),
-            });
+        let pending = match self.probe(compiler, circuit, device, Instant::now()) {
+            Ok(pending) => pending,
+            Err(answer) => return answer,
         };
-        let key = cache_key(chosen.as_ref(), circuit, device);
-        if let Some(output) = self.shard(key).touch(key) {
-            Stats::bump(&self.stats.hits);
-            return Ok(self.hit_response(output, key, arrival, queue_depth));
-        }
-        let stable = stable_key(chosen.as_ref(), circuit, device);
+        let stable = stable_key(pending.compiler, circuit, device);
         let record = self
             .placements
             .lock()
             .expect("placement index poisoned")
-            .touch(stable);
+            .touch(stable)
+            .cloned();
         if let Some(record) = record {
             // Fast path for a repeat recompile against an unchanged
             // snapshot whose artifact is still cached under its own key.
             if record.device_fingerprint == device_fingerprint(device) {
-                if let Some(output) = self.shard(record.artifact_key).touch(record.artifact_key) {
-                    Stats::bump(&self.stats.hits);
-                    let mut response =
-                        self.hit_response(output, record.artifact_key, arrival, queue_depth);
+                if let Some(output) = self.cached(record.artifact_key) {
                     // A recorded artifact under a different key than the
                     // cold one was produced by a warm compile.
-                    response.warm = record.artifact_key != key;
-                    return Ok(response);
+                    let warm = record.artifact_key != pending.key;
+                    return Ok(self.hit(&pending, output, record.artifact_key, warm));
                 }
             }
-            if let Some(warm_compiler) = chosen.warm_clone(&record.placement) {
+            if let Some(warm_compiler) = pending.compiler.warm_clone(&record.placement) {
                 // The warm artifact is keyed under the *warm* compiler's
                 // fingerprint (which covers the seed), so plain `request`
                 // hits never observe warm-derived artifacts and repeated
                 // recompiles of the same drifted snapshot hit this key.
                 let warm_key = cache_key(warm_compiler.as_ref(), circuit, device);
-                if let Some(output) = self.shard(warm_key).touch(warm_key) {
-                    Stats::bump(&self.stats.hits);
-                    let mut response = self.hit_response(output, warm_key, arrival, queue_depth);
-                    response.warm = true;
-                    return Ok(response);
-                }
-                return self.serve_miss(
-                    warm_compiler.as_ref(),
-                    circuit,
-                    device,
-                    warm_key,
-                    stable,
-                    true,
-                    arrival,
-                    queue_depth,
-                );
+                return self.serve_miss(&pending, warm_compiler.as_ref(), warm_key, true);
             }
         }
-        self.serve_miss(
-            chosen.as_ref(),
+        self.serve_miss(&pending, pending.compiler, pending.key, false)
+    }
+
+    /// Serves a batch of requests, fanning the misses out over the service
+    /// pool; responses keep the request order.  Per-response
+    /// `queue_wait_ms` covers hashing, lookup and the wait for a pool
+    /// worker.  Duplicate keys inside the batch — and keys another thread
+    /// is already compiling — coalesce onto a single compile, just like
+    /// [`CompileService::request`].
+    pub fn request_batch(
+        &self,
+        requests: &[ServiceRequest<'_>],
+    ) -> Vec<Result<ServiceResponse, ServiceError>> {
+        let arrival = Instant::now();
+        // Classify every request first: hits and unknown names answer
+        // immediately, each distinct missing key elects one in-batch leader
+        // (the pool compiles those), and everything else follows a flight —
+        // an in-batch leader's or another thread's.
+        let mut responses: Vec<Option<Answer>> = (0..requests.len()).map(|_| None).collect();
+        let mut leaders = Vec::new();
+        let mut followers = Vec::new();
+        for (i, req) in requests.iter().enumerate() {
+            let pending = match self.probe(req.compiler, req.circuit, req.device, arrival) {
+                Ok(pending) => pending,
+                Err(answer) => {
+                    responses[i] = Some(answer);
+                    continue;
+                }
+            };
+            match self.admit(pending.key) {
+                Ok(Admission::Hit(output)) => {
+                    responses[i] = Some(Ok(self.hit(&pending, output, pending.key, false)));
+                }
+                Ok(Admission::Lead(lease)) => leaders.push((i, pending, lease)),
+                Ok(Admission::Follow(flight)) => followers.push((i, pending, flight)),
+                Err(e) => responses[i] = Some(Err(e)),
+            }
+        }
+        let compiled = self.pool.run_indexed(leaders.len(), |j| {
+            let (_, pending, _) = &leaders[j];
+            self.compile_timed(pending, pending.compiler)
+        });
+        for ((i, pending, lease), timed) in leaders.into_iter().zip(compiled) {
+            responses[i] = Some(self.finish_lead(lease, &pending, false, timed));
+        }
+        // In-batch followers resolve instantly (their leader just
+        // published); followers of another thread's flight park on it.
+        for (i, pending, flight) in followers {
+            responses[i] = Some(self.follow(&flight, pending.key, false, &pending));
+        }
+        responses
+            .into_iter()
+            .map(|r| r.expect("every request index is answered"))
+            .collect()
+    }
+
+    /// Eagerly drops every cached artifact compiled against this device's
+    /// *current* (topology, gate set, calibration snapshot) — the explicit
+    /// invalidation hook for calibration-drift events.  Returns the number
+    /// of dropped entries.  (Entries for a *previous* snapshot stop being
+    /// reachable as soon as the device drifts — their keys no longer match —
+    /// and age out via LRU.)
+    pub fn invalidate_device(&self, device: &Device) -> usize {
+        let fingerprint = device_fingerprint(device);
+        let dropped: usize = self
+            .shards
+            .iter()
+            .map(|shard| {
+                shard
+                    .lock()
+                    .expect("cache shard poisoned")
+                    .retain(|e| e.device_fingerprint != fingerprint)
+            })
+            .sum();
+        Stats::bump(&self.stats.invalidations);
+        Stats::add(&self.stats.invalidated_entries, dropped as u64);
+        dropped
+    }
+
+    /// Drops every cached artifact.
+    pub fn clear(&self) {
+        for shard in &self.shards {
+            shard.lock().expect("cache shard poisoned").clear();
+        }
+    }
+
+    fn compiler(&self, name: &str) -> Option<&dyn Compiler> {
+        self.compilers
+            .iter()
+            .find(|c| c.name() == name)
+            .map(|c| c.as_ref())
+    }
+
+    /// The front half every request shares: counts the request, samples the
+    /// queue depth, resolves the compiler name and probes the cache under
+    /// the request's key.  `Err` carries the finished answer (an unknown
+    /// compiler or a hit); `Ok` a request that still needs serving.  The
+    /// drift-stable key is *not* computed here: the hit path never needs it.
+    fn probe<'a>(
+        &'a self,
+        name: &str,
+        circuit: &'a Circuit,
+        device: &'a Device,
+        arrival: Instant,
+    ) -> Result<Pending<'a>, Answer> {
+        Stats::bump(&self.stats.requests);
+        let queue_depth = self.in_flight.load(Ordering::Relaxed);
+        let Some(compiler) = self.compiler(name) else {
+            Stats::bump(&self.stats.errors);
+            return Err(Err(ServiceError::UnknownCompiler {
+                name: name.to_string(),
+            }));
+        };
+        let key = cache_key(compiler, circuit, device);
+        let pending = Pending {
+            compiler,
             circuit,
             device,
             key,
-            stable,
-            false,
             arrival,
             queue_depth,
-        )
+        };
+        match self.cached(key) {
+            Some(output) => Err(Ok(self.hit(&pending, output, key, false))),
+            None => Ok(pending),
+        }
     }
 
-    /// The shared miss path of [`CompileService::request`] and
-    /// [`CompileService::recompile`]: singleflight admission, the compile
-    /// itself (on the service pool), caching, placement recording and the
-    /// warm/cold timing counters.  `stable` is the drift-stable key of the
-    /// *registered* compiler (not a warm clone's), so successive recompiles
-    /// keep finding the freshest placement.
-    #[allow(clippy::too_many_arguments)]
+    /// The miss path of [`CompileService::request`] and
+    /// [`CompileService::recompile`]: singleflight admission, then either
+    /// the compile as the key's leader or the wait as a follower.
+    /// `compiler` and `key` are the registered compiler's, or its warm
+    /// clone's for a warm recompile.
     fn serve_miss(
         &self,
+        pending: &Pending<'_>,
         compiler: &dyn Compiler,
-        circuit: &Circuit,
-        device: &Device,
         key: u128,
-        stable: u128,
         warm: bool,
-        arrival: Instant,
-        queue_depth: usize,
-    ) -> Result<ServiceResponse, ServiceError> {
+    ) -> Answer {
         match self.admit(key)? {
-            Admission::Hit(output) => {
-                Stats::bump(&self.stats.hits);
-                Ok(self.hit_response(output, key, arrival, queue_depth))
-            }
-            Admission::Follow(flight) => {
-                let queue_wait_ms = ms_since(arrival);
-                let wait_start = Instant::now();
-                let result = self.wait_for_flight(&flight);
-                Stats::bump(&self.stats.coalesced);
-                match result {
-                    Ok(output) => Ok(ServiceResponse {
-                        output,
-                        hit: false,
-                        coalesced: true,
-                        warm,
-                        cached: false,
-                        key,
-                        queue_wait_ms,
-                        coalesced_wait_ms: ms_since(wait_start),
-                        compile_ms: 0.0,
-                        wall_ms: ms_since(arrival),
-                        queue_depth,
-                    }),
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        Err(e)
-                    }
-                }
-            }
+            Admission::Hit(output) => Ok(self.hit(pending, output, key, warm)),
+            Admission::Follow(flight) => self.follow(&flight, key, warm, pending),
             Admission::Lead(lease) => {
-                Stats::bump(&self.stats.misses);
-                let queue_wait_ms = ms_since(arrival);
-                let compile_start = Instant::now();
-                // The service pool is installed for the compile so the
-                // solvers' multi-start restarts reuse the long-lived
-                // workers instead of provisioning per request.
-                let guard = self.pool.install();
-                let result = self
-                    .batch
-                    .compile_batch(&[BatchJob {
-                        circuit,
-                        device,
-                        compiler,
-                    }])
-                    .pop()
-                    .expect("one job in, one result out");
-                drop(guard);
-                let compile_ms = ms_since(compile_start);
-                match result {
-                    Ok(output) => {
-                        let output = Arc::new(output);
-                        self.note_compile(warm, compile_ms);
-                        // Cache *before* the flight clears so a newcomer
-                        // always finds the key in one of the two maps.
-                        let cached = self.maybe_cache(key, &output, device);
-                        self.record_placement(stable, key, &output, device);
-                        lease.publish(Ok(Arc::clone(&output)));
-                        Ok(ServiceResponse {
-                            output,
-                            hit: false,
-                            coalesced: false,
-                            warm,
-                            cached,
-                            key,
-                            queue_wait_ms,
-                            coalesced_wait_ms: 0.0,
-                            compile_ms,
-                            wall_ms: ms_since(arrival),
-                            queue_depth,
-                        })
-                    }
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        let error = ServiceError::from(e);
-                        lease.publish(Err(error.clone()));
-                        Err(error)
-                    }
-                }
+                let timed = self.compile_timed(pending, compiler);
+                self.finish_lead(lease, pending, warm, timed)
             }
         }
+    }
+
+    /// Answers a request from the cache.
+    fn hit(
+        &self,
+        pending: &Pending<'_>,
+        output: Arc<CompiledOutput>,
+        key: u128,
+        warm: bool,
+    ) -> ServiceResponse {
+        Stats::bump(&self.stats.hits);
+        ServiceResponse {
+            hit: true,
+            ..pending.respond(output, key, warm)
+        }
+    }
+
+    /// Runs one leader compile of the pending request through `compiler`
+    /// (the [`BatchCompiler`] supplies retries and panic isolation) and
+    /// times it from the request's arrival.
+    fn compile_timed(&self, pending: &Pending<'_>, compiler: &dyn Compiler) -> Timed {
+        let queue_wait_ms = ms_since(pending.arrival);
+        let compile_start = Instant::now();
+        // The service pool is installed for the compile so the solvers'
+        // multi-start restarts reuse the long-lived workers instead of
+        // provisioning per request.
+        let guard = self.pool.install();
+        let result = self
+            .batch
+            .compile_batch(&[BatchJob {
+                circuit: pending.circuit,
+                device: pending.device,
+                compiler,
+            }])
+            .pop()
+            .expect("one job in, one result out");
+        drop(guard);
+        (result, queue_wait_ms, ms_since(compile_start))
+    }
+
+    /// Everything a leader does once its compile returns: the warm/cold
+    /// timing counters, caching and placement recording, publishing to the
+    /// followers (which also releases the admission slot), the response.
+    fn finish_lead(
+        &self,
+        lease: FlightLease<'_>,
+        pending: &Pending<'_>,
+        warm: bool,
+        (result, queue_wait_ms, compile_ms): Timed,
+    ) -> Answer {
+        let key = lease.key;
+        match result {
+            Ok(output) => {
+                let output = Arc::new(output);
+                self.note_compile(warm, compile_ms);
+                // Cache *before* the flight clears so a newcomer always
+                // finds the key in one of the two maps.
+                let cached = self.maybe_cache(key, &output, pending);
+                lease.publish(Ok(Arc::clone(&output)));
+                Ok(ServiceResponse {
+                    cached,
+                    queue_wait_ms,
+                    compile_ms,
+                    ..pending.respond(output, key, warm)
+                })
+            }
+            Err(e) => {
+                Stats::bump(&self.stats.errors);
+                let error = ServiceError::from(e);
+                lease.publish(Err(error.clone()));
+                Err(error)
+            }
+        }
+    }
+
+    /// Parks on another leader's flight and answers with its shared
+    /// artifact (`coalesced: true`) or its typed error.
+    fn follow(&self, flight: &Flight, key: u128, warm: bool, pending: &Pending<'_>) -> Answer {
+        let queue_wait_ms = ms_since(pending.arrival);
+        let wait_start = Instant::now();
+        let result = self.wait_for_flight(flight);
+        let coalesced_wait_ms = ms_since(wait_start);
+        Stats::bump(&self.stats.coalesced);
+        result
+            .map(|output| ServiceResponse {
+                coalesced: true,
+                queue_wait_ms,
+                coalesced_wait_ms,
+                ..pending.respond(output, key, warm)
+            })
+            .inspect_err(|_| Stats::bump(&self.stats.errors))
     }
 
     /// Accounts a successful leader compile into the warm/cold timing
@@ -874,56 +922,56 @@ impl CompileService {
         }
     }
 
-    /// Remembers a full-quality compile's initial placement under its
-    /// drift-stable key so a later [`CompileService::recompile`] against a
-    /// drifted snapshot can warm-start from it.  Degraded artifacts are
-    /// skipped (their placement may come from the trivial fallback), as are
-    /// compilers that report no placement.
-    fn record_placement(
-        &self,
-        stable: u128,
-        artifact_key: u128,
-        output: &CompiledOutput,
-        device: &Device,
-    ) {
-        if output.report.rung != DegradationRung::Full || output.initial_placement.is_empty() {
-            return;
+    /// Caches a leader's artifact under `key` unless a deadline degraded
+    /// it — only [`DegradationRung::Full`] artifacts may be served as the
+    /// canonical result for their key — and remembers its initial
+    /// placement under the drift-stable key so a later
+    /// [`CompileService::recompile`] against a drifted snapshot can
+    /// warm-start from it.  The stable key is the *registered* compiler's
+    /// (not a warm clone's), so successive recompiles keep finding the
+    /// freshest placement; compilers that report no placement record none.
+    fn maybe_cache(&self, key: u128, output: &Arc<CompiledOutput>, pending: &Pending<'_>) -> bool {
+        if output.report.rung != DegradationRung::Full {
+            Stats::bump(&self.stats.uncacheable);
+            return false;
         }
-        self.placements
-            .lock()
-            .expect("placement index poisoned")
-            .record(
-                stable,
-                PlacementRecord {
-                    device_fingerprint: device_fingerprint(device),
-                    artifact_key,
-                    placement: output.initial_placement.clone(),
-                },
-                self.placement_capacity,
-            );
+        let device_fingerprint = device_fingerprint(pending.device);
+        let evicted = self.shard(key).insert(
+            key,
+            Entry {
+                output: Arc::clone(output),
+                device_fingerprint,
+            },
+        );
+        Stats::bump(&self.stats.insertions);
+        Stats::add(&self.stats.evictions, evicted);
+        if !output.initial_placement.is_empty() {
+            let stable = stable_key(pending.compiler, pending.circuit, pending.device);
+            self.placements
+                .lock()
+                .expect("placement index poisoned")
+                .insert(
+                    stable,
+                    PlacementRecord {
+                        device_fingerprint,
+                        artifact_key: key,
+                        placement: output.initial_placement.clone(),
+                    },
+                );
+        }
+        true
     }
 
-    fn hit_response(
-        &self,
-        output: Arc<CompiledOutput>,
-        key: u128,
-        arrival: Instant,
-        queue_depth: usize,
-    ) -> ServiceResponse {
-        let wall_ms = ms_since(arrival);
-        ServiceResponse {
-            output,
-            hit: true,
-            coalesced: false,
-            warm: false,
-            cached: false,
-            key,
-            queue_wait_ms: wall_ms,
-            coalesced_wait_ms: 0.0,
-            compile_ms: 0.0,
-            wall_ms,
-            queue_depth,
-        }
+    /// The cached artifact under `key`, marked most recently used.
+    fn cached(&self, key: u128) -> Option<Arc<CompiledOutput>> {
+        self.shard(key).touch(key).map(|e| Arc::clone(&e.output))
+    }
+
+    fn shard(&self, key: u128) -> MutexGuard<'_, Lru<Entry>> {
+        // Shard by the top bits: the low bits pick the slot inside the
+        // shard's hash map, so both selections stay independent.
+        let index = (key >> 96) as usize % self.shards.len();
+        self.shards[index].lock().expect("cache shard poisoned")
     }
 
     /// Classifies a cache miss: follow an existing in-flight compile, serve
@@ -940,7 +988,7 @@ impl CompileService {
         // key absent from both maps genuinely needs a fresh compile.  (Lock
         // order is always flight shard → cache shard; nothing acquires them
         // in the opposite order.)
-        if let Some(output) = self.shard(key).touch(key) {
+        if let Some(output) = self.cached(key) {
             return Ok(Admission::Hit(output));
         }
         let admitted = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
@@ -953,6 +1001,7 @@ impl CompileService {
                 cap: self.max_in_flight,
             });
         }
+        Stats::bump(&self.stats.misses);
         let flight = Flight::new();
         flights.insert(key, Arc::clone(&flight));
         Ok(Admission::Lead(FlightLease {
@@ -1023,427 +1072,10 @@ impl CompileService {
             .lock()
             .expect("in-flight shard poisoned")
     }
-
-    /// Serves a batch of requests, fanning the misses out over the service
-    /// pool via [`BatchCompiler`]; responses keep the request order.
-    /// Per-response `queue_wait_ms` covers hashing, lookup and the wait for
-    /// a pool worker.  Duplicate keys inside the batch — and keys another
-    /// thread is already compiling — coalesce onto a single compile, just
-    /// like [`CompileService::request`].
-    pub fn request_batch(
-        &self,
-        requests: &[ServiceRequest<'_>],
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let arrival = Instant::now();
-        // Classify every request first: hits and unknown names answer
-        // immediately, each distinct missing key elects one in-batch leader
-        // (the pool compiles those), and everything else follows a flight —
-        // an in-batch leader's or another thread's.
-        let mut responses: Vec<Option<Result<ServiceResponse, ServiceError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        #[allow(clippy::type_complexity)]
-        let mut leaders: Vec<(usize, u128, &dyn Compiler, FlightLease<'_>, usize)> = Vec::new();
-        let mut followers: Vec<(usize, u128, Arc<Flight>, usize)> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            Stats::bump(&self.stats.requests);
-            let queue_depth = self.in_flight.load(Ordering::Relaxed);
-            let Some(chosen) = self.compilers.iter().find(|c| c.name() == req.compiler) else {
-                Stats::bump(&self.stats.errors);
-                responses[i] = Some(Err(ServiceError::UnknownCompiler {
-                    name: req.compiler.to_string(),
-                }));
-                continue;
-            };
-            let key = cache_key(chosen.as_ref(), req.circuit, req.device);
-            if let Some(output) = self.shard(key).touch(key) {
-                Stats::bump(&self.stats.hits);
-                responses[i] = Some(Ok(self.hit_response(output, key, arrival, queue_depth)));
-                continue;
-            }
-            match self.admit(key) {
-                Ok(Admission::Hit(output)) => {
-                    Stats::bump(&self.stats.hits);
-                    responses[i] = Some(Ok(self.hit_response(output, key, arrival, queue_depth)));
-                }
-                Ok(Admission::Lead(lease)) => {
-                    Stats::bump(&self.stats.misses);
-                    leaders.push((i, key, chosen.as_ref(), lease, queue_depth));
-                }
-                Ok(Admission::Follow(flight)) => followers.push((i, key, flight, queue_depth)),
-                Err(e) => responses[i] = Some(Err(e)),
-            }
-        }
-        if !leaders.is_empty() {
-            let probes: Vec<ProbedCompiler<'_>> = leaders
-                .iter()
-                .map(|&(_, _, compiler, _, _)| ProbedCompiler::new(compiler, arrival))
-                .collect();
-            let jobs: Vec<BatchJob<'_>> = leaders
-                .iter()
-                .zip(&probes)
-                .map(|(&(i, _, _, _, _), probe)| BatchJob {
-                    circuit: requests[i].circuit,
-                    device: requests[i].device,
-                    compiler: probe,
-                })
-                .collect();
-            let guard = self.pool.install();
-            let results = self.batch.compile_batch(&jobs);
-            drop(guard);
-            for (((i, key, compiler, lease, queue_depth), probe), result) in
-                leaders.into_iter().zip(&probes).zip(results)
-            {
-                let entry = match result {
-                    Ok(output) => {
-                        let output = Arc::new(output);
-                        self.note_compile(false, probe.compile_ms());
-                        let cached = self.maybe_cache(key, &output, requests[i].device);
-                        let stable = stable_key(compiler, requests[i].circuit, requests[i].device);
-                        self.record_placement(stable, key, &output, requests[i].device);
-                        lease.publish(Ok(Arc::clone(&output)));
-                        Ok(ServiceResponse {
-                            output,
-                            hit: false,
-                            coalesced: false,
-                            warm: false,
-                            cached,
-                            key,
-                            queue_wait_ms: probe.started_ms(),
-                            coalesced_wait_ms: 0.0,
-                            compile_ms: probe.compile_ms(),
-                            wall_ms: ms_since(arrival),
-                            queue_depth,
-                        })
-                    }
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        let error = ServiceError::from(e);
-                        lease.publish(Err(error.clone()));
-                        Err(error)
-                    }
-                };
-                responses[i] = Some(entry);
-            }
-        }
-        // In-batch followers resolve instantly (their leader just
-        // published); followers of another thread's flight park on it.
-        for (i, key, flight, queue_depth) in followers {
-            let wait_start = Instant::now();
-            let result = self.wait_for_flight(&flight);
-            Stats::bump(&self.stats.coalesced);
-            let entry = match result {
-                Ok(output) => Ok(ServiceResponse {
-                    output,
-                    hit: false,
-                    coalesced: true,
-                    warm: false,
-                    cached: false,
-                    key,
-                    queue_wait_ms: ms_since(arrival),
-                    coalesced_wait_ms: ms_since(wait_start),
-                    compile_ms: 0.0,
-                    wall_ms: ms_since(arrival),
-                    queue_depth,
-                }),
-                Err(e) => {
-                    Stats::bump(&self.stats.errors);
-                    Err(e)
-                }
-            };
-            responses[i] = Some(entry);
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every request index is answered"))
-            .collect()
-    }
-
-    /// Eagerly drops every cached artifact compiled against this device's
-    /// *current* (topology, gate set, calibration snapshot) — the explicit
-    /// invalidation hook for calibration-drift events.  Returns the number
-    /// of dropped entries.  (Entries for a *previous* snapshot stop being
-    /// reachable as soon as the device drifts — their keys no longer match —
-    /// and age out via LRU.)
-    pub fn invalidate_device(&self, device: &Device) -> usize {
-        let fingerprint = device_fingerprint(device);
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            let before = shard.entries.len();
-            shard
-                .entries
-                .retain(|_, e| e.device_fingerprint != fingerprint);
-            dropped += before - shard.entries.len();
-        }
-        Stats::bump(&self.stats.invalidations);
-        Stats::add(&self.stats.invalidated_entries, dropped as u64);
-        dropped
-    }
-
-    /// Drops every cached artifact.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").entries.clear();
-        }
-    }
-
-    fn shard(&self, key: u128) -> std::sync::MutexGuard<'_, Shard> {
-        // Shard by the top bits: the low bits pick the slot inside the
-        // shard's hash map, so both selections stay independent.
-        let index = (key >> 96) as usize % self.shards.len();
-        self.shards[index].lock().expect("cache shard poisoned")
-    }
-
-    /// Caches a successful compile unless a deadline degraded it: only
-    /// [`DegradationRung::Full`] artifacts may be served as the canonical
-    /// result for their key.
-    fn maybe_cache(&self, key: u128, output: &Arc<CompiledOutput>, device: &Device) -> bool {
-        if output.report.rung != DegradationRung::Full {
-            Stats::bump(&self.stats.uncacheable);
-            return false;
-        }
-        let evicted = self.shard(key).insert(
-            key,
-            Arc::clone(output),
-            device_fingerprint(device),
-            self.shard_capacity,
-        );
-        Stats::bump(&self.stats.insertions);
-        self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
-        true
-    }
-}
-
-/// Delegates to a wrapped compiler while recording when the compile started
-/// (relative to batch submission) and how long it ran — the queue-wait and
-/// compile-time probes of [`CompileService::request_batch`].
-struct ProbedCompiler<'a> {
-    inner: &'a dyn Compiler,
-    submitted: Instant,
-    started_ms: AtomicU64,
-    compile_ms: AtomicU64,
-}
-
-impl<'a> ProbedCompiler<'a> {
-    fn new(inner: &'a dyn Compiler, submitted: Instant) -> Self {
-        Self {
-            inner,
-            submitted,
-            started_ms: AtomicU64::new(0f64.to_bits()),
-            compile_ms: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    fn started_ms(&self) -> f64 {
-        f64::from_bits(self.started_ms.load(Ordering::Relaxed))
-    }
-
-    fn compile_ms(&self) -> f64 {
-        f64::from_bits(self.compile_ms.load(Ordering::Relaxed))
-    }
-}
-
-impl Compiler for ProbedCompiler<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn order_respecting(&self) -> bool {
-        self.inner.order_respecting()
-    }
-
-    fn constrains_connectivity(&self) -> bool {
-        self.inner.constrains_connectivity()
-    }
-
-    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
-        self.started_ms
-            .store(ms_since(self.submitted).to_bits(), Ordering::Relaxed);
-        let start = Instant::now();
-        let result = self.inner.compile(circuit, device);
-        self.compile_ms
-            .store(ms_since(start).to_bits(), Ordering::Relaxed);
-        result
-    }
-
-    fn cache_fingerprint(&self) -> u64 {
-        self.inner.cache_fingerprint()
-    }
 }
 
 fn ms_since(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
-}
-
-/// The content-addressed cache key of a (compiler, circuit, device)
-/// request: a 128-bit stable hash of the canonicalized circuit, the device
-/// topology and gate set, the full calibration snapshot and the compiler's
-/// configuration fingerprint.
-pub fn cache_key(compiler: &dyn Compiler, circuit: &Circuit, device: &Device) -> u128 {
-    let mut h = ContentHasher::new();
-    h.write_u64(compiler.cache_fingerprint());
-    hash_circuit(&mut h, circuit);
-    hash_device(&mut h, device);
-    h.finish()
-}
-
-/// Hash of a device's (topology, gate set, calibration snapshot) — what a
-/// cached artifact was compiled *against*, independent of the workload.
-fn device_fingerprint(device: &Device) -> u128 {
-    let mut h = ContentHasher::new();
-    hash_device(&mut h, device);
-    h.finish()
-}
-
-fn hash_circuit(h: &mut ContentHasher, circuit: &Circuit) {
-    h.write_usize(circuit.num_qubits());
-    h.write_usize(circuit.gates().len());
-    for gate in circuit.gates() {
-        hash_gate(h, gate.kind);
-        h.write_usize(gate.qubit0());
-        if gate.is_two_qubit() {
-            h.write_usize(gate.qubit1());
-        }
-    }
-}
-
-/// One stable byte tag per gate kind plus its exact parameter bits.  The
-/// tags are part of the cache-key format: renumbering them invalidates
-/// every key (which is safe — at worst one cold compile per entry).
-fn hash_gate(h: &mut ContentHasher, kind: GateKind) {
-    match kind {
-        GateKind::Rx(t) => {
-            h.write_u8(0);
-            h.write_f64(t);
-        }
-        GateKind::Ry(t) => {
-            h.write_u8(1);
-            h.write_f64(t);
-        }
-        GateKind::Rz(t) => {
-            h.write_u8(2);
-            h.write_f64(t);
-        }
-        GateKind::H => h.write_u8(3),
-        GateKind::X => h.write_u8(4),
-        GateKind::Y => h.write_u8(5),
-        GateKind::Z => h.write_u8(6),
-        GateKind::U3(t, p, l) => {
-            h.write_u8(7);
-            h.write_f64(t);
-            h.write_f64(p);
-            h.write_f64(l);
-        }
-        GateKind::Cnot => h.write_u8(8),
-        GateKind::Cz => h.write_u8(9),
-        GateKind::Swap => h.write_u8(10),
-        GateKind::ISwap => h.write_u8(11),
-        GateKind::Syc => h.write_u8(12),
-        GateKind::Canonical { xx, yy, zz } => {
-            h.write_u8(13);
-            h.write_f64(xx);
-            h.write_f64(yy);
-            h.write_f64(zz);
-        }
-        GateKind::DressedSwap { xx, yy, zz } => {
-            h.write_u8(14);
-            h.write_f64(xx);
-            h.write_f64(yy);
-            h.write_f64(zz);
-        }
-    }
-}
-
-fn basis_tag(basis: TwoQubitBasis) -> u8 {
-    match basis {
-        TwoQubitBasis::Cnot => 0,
-        TwoQubitBasis::Cz => 1,
-        TwoQubitBasis::Syc => 2,
-        TwoQubitBasis::ISwap => 3,
-    }
-}
-
-fn hash_device(h: &mut ContentHasher, device: &Device) {
-    hash_topology(h, device);
-    hash_target(h, device.target());
-}
-
-/// Hash of the calibration-*independent* part of a device: topology and
-/// native gate set only.  This is what stays stable across calibration
-/// drift, making it the right device component of [`stable_key`].
-fn hash_topology(h: &mut ContentHasher, device: &Device) {
-    // Topology: qubit count plus the canonical sorted edge list.  The
-    // display name is deliberately excluded — two identically shaped and
-    // calibrated devices compile identically, so they share cache lines.
-    h.write_usize(device.num_qubits());
-    let mut edges: Vec<(usize, usize)> = device
-        .topology()
-        .edges()
-        .into_iter()
-        .map(|(a, b)| (a.min(b), a.max(b)))
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
-    h.write_usize(edges.len());
-    for (a, b) in edges {
-        h.write_usize(a);
-        h.write_usize(b);
-    }
-    // Native gate set, in declared order (the first basis is the default
-    // decomposition target, so order matters).
-    let bases = &device.gate_set().bases;
-    h.write_usize(bases.len());
-    for &basis in bases {
-        h.write_u8(basis_tag(basis));
-    }
-}
-
-/// The *drift-stable* identity of a request: compiler fingerprint,
-/// canonical circuit and device topology + gate set — everything in
-/// [`cache_key`] **except** the calibration snapshot.  Two requests for the
-/// same workload on the same device before and after a calibration drift
-/// share this key, which is how [`CompileService::recompile`] finds the
-/// predecessor snapshot's placement to warm-start from.
-pub fn stable_key(compiler: &dyn Compiler, circuit: &Circuit, device: &Device) -> u128 {
-    let mut h = ContentHasher::new();
-    h.write_u64(compiler.cache_fingerprint());
-    hash_circuit(&mut h, circuit);
-    hash_topology(&mut h, device);
-    h.finish()
-}
-
-/// Absorbs the complete per-edge / per-qubit calibration snapshot: any
-/// single drifted value — one edge error, one readout figure — changes the
-/// digest and therefore the cache key.
-fn hash_target(h: &mut ContentHasher, target: &Target) {
-    let edges = target.edges();
-    h.write_usize(edges.len());
-    for &(a, b) in edges {
-        h.write_usize(a);
-        h.write_usize(b);
-        h.write_f64(target.two_qubit_error(a, b));
-        h.write_f64(target.two_qubit_duration_ns(a, b));
-    }
-    let n = target.num_qubits();
-    h.write_usize(n);
-    for q in 0..n {
-        h.write_f64(target.single_qubit_error(q));
-        h.write_f64(target.single_qubit_duration_ns(q));
-        h.write_f64(target.readout_error(q));
-        h.write_f64(target.t1_us(q));
-        h.write_f64(target.t2_us(q));
-    }
-    let avg = target.average();
-    h.write_f64_slice(&[
-        avg.two_qubit_error,
-        avg.two_qubit_gate_ns,
-        avg.single_qubit_error,
-        avg.single_qubit_gate_ns,
-        avg.readout_error,
-        avg.t1_us,
-        avg.t2_us,
-    ]);
-    h.write_u8(target.is_uniform() as u8);
 }
 
 /// Compares two compiled artifacts for bit-identity on everything the
@@ -1572,6 +1204,43 @@ mod tests {
         assert!(!miss.hit && miss.cached);
         assert!(miss.compile_ms > 0.0);
         assert!(miss.queue_wait_ms >= 0.0);
+    }
+
+    #[test]
+    fn response_timing_fields_add_up_for_every_kind_of_response() {
+        let service = service();
+        let a = trotter_step(&nnn_ising(8, 1), 1.0);
+        let b = trotter_step(&nnn_ising(7, 2), 1.0);
+        let device = Device::montreal();
+        let leader = service.request("2QAN", &a, &device).unwrap();
+        let hit = service.request("2QAN", &a, &device).unwrap();
+        // A duplicate inside one batch coalesces onto the in-batch leader.
+        let batch = service.request_batch(&[&b, &b].map(|circuit| ServiceRequest {
+            compiler: "2QAN",
+            circuit,
+            device: &device,
+        }));
+        let (batch_leader, follower) = (batch[0].as_ref().unwrap(), batch[1].as_ref().unwrap());
+        assert!(hit.hit && !leader.hit && !batch_leader.hit && follower.coalesced);
+        assert_eq!(hit.compile_ms, 0.0);
+        assert_eq!(hit.queue_wait_ms, hit.wall_ms);
+        for response in [&leader, batch_leader] {
+            assert!(!response.coalesced && response.compile_ms > 0.0);
+            assert!(response.queue_wait_ms + response.compile_ms <= response.wall_ms);
+        }
+        assert_eq!(follower.compile_ms, 0.0);
+        assert!(follower.coalesced_wait_ms <= follower.wall_ms);
+        for (response, circuit) in [
+            (&leader, &a),
+            (&hit, &a),
+            (batch_leader, &b),
+            (follower, &b),
+        ] {
+            assert_eq!(
+                Some(response.key),
+                service.key_for("2QAN", circuit, &device)
+            );
+        }
     }
 
     #[test]
