@@ -381,7 +381,7 @@ fn run_clients(
         storm_requests: storm_total,
         storm_compiles: storm_stats.misses,
         storm_coalesced: storm_stats.coalesced,
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cores: twoqan::pool::max_useful_workers(),
     }
 }
 

@@ -121,9 +121,7 @@ impl BatchCompiler {
         if CompilePool::current_workers().is_some() {
             // Nested batch: reuse the outer pool (the caller participates
             // and helps, so this cannot deadlock and spawns nothing).
-            let results =
-                twoqan_pool::run_installed(jobs.len(), &|i: usize| self.compile_isolated(&jobs[i]));
-            return results.expect("a pool is installed on this thread");
+            return twoqan_pool::run_indexed(jobs.len(), |i| self.compile_isolated(&jobs[i]));
         }
         let pool = CompilePool::new(self.resolved_threads(jobs.len()));
         // Install on the submitting thread too: it participates in the

@@ -53,15 +53,6 @@ pub struct TwoQanConfig {
     /// support); under a limited budget the compiler degrades along the
     /// [`DegradationRung`] ladder instead of erroring.
     pub budget: CompileBudget,
-    /// Worker count for the compile's internal parallelism (the multi-start
-    /// Tabu/annealing restarts).  `0` (the default) inherits: restarts run
-    /// on the already-installed [`twoqan_pool::CompilePool`] when one exists
-    /// (e.g. inside a [`crate::BatchCompiler`] run) and otherwise keep the
-    /// legacy `TabuConfig::parallel` behaviour.  `n ≥ 1` provisions a
-    /// dedicated `n`-worker pool for this compile — unless a pool is
-    /// already installed, which always wins so nesting never over-spawns.
-    /// Results are bit-identical for every setting.
-    pub threads: usize,
     /// Optional warm-start placement (`logical → physical`) from a previous
     /// compile of the same circuit, forwarded to the mapping pass: restart
     /// slot 0 of every mapping trial's QAP solver starts from this placement
@@ -85,7 +76,6 @@ impl Default for TwoQanConfig {
             unify_input: true,
             cost_model: CostModel::HopCount,
             budget: CompileBudget::unlimited(),
-            threads: 0,
             warm_start: None,
         }
     }
@@ -225,22 +215,6 @@ impl Compiler for TwoQanCompiler {
     /// the device, and the first pipeline failure if neither the portfolio
     /// nor the fallback produced a result.
     fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
-        // Provision a dedicated worker pool when the config asks for one and
-        // none is installed yet; an installed pool (e.g. the batch driver's)
-        // always wins so nested compiles never over-spawn.  The guard is
-        // dropped before the pool so TLS is restored first.
-        let _pool = match (
-            self.config.threads,
-            twoqan_pool::CompilePool::current_workers(),
-        ) {
-            (0, _) | (_, Some(_)) => None,
-            (n, None) => {
-                // Clamp to the core count: oversubscribing CPU-bound solver
-                // restarts only adds scheduling churn.
-                let pool = twoqan_pool::CompilePool::new(n.min(twoqan_pool::max_useful_workers()));
-                Some((pool.install(), pool))
-            }
-        };
         let armed = self.config.budget.arm();
         let trials = self.config.mapping_trials.max(1);
         // Unify once, up front: the pre-pass draws no randomness, so every
@@ -386,12 +360,12 @@ impl Compiler for TwoQanCompiler {
 
     fn cache_fingerprint(&self) -> u64 {
         // Every config knob that can change the artifact is covered (seed,
-        // trials, strategies, cost model, budget).  `threads` only changes
-        // how the solver restarts are parallelised — results are documented
-        // bit-identical for every setting — so it is normalized out to keep
-        // differently-provisioned requests on the same cache line.
+        // trials, strategies, cost model, budget).  `routing.cost` is never
+        // read — `cost_model` overrides it in every pipeline — so it is
+        // normalized out to keep configs that build the same artifact on
+        // the same cache line.
         let mut config = self.config.clone();
-        config.threads = 0;
+        config.routing.cost = RoutingConfig::default().cost;
         crate::hash::fnv1a_64(&format!("{}|{config:?}", Compiler::name(self)))
     }
 
@@ -574,6 +548,40 @@ mod tests {
         assert_eq!(stock.metrics, budgeted.metrics);
         assert_eq!(stock.initial_placement, budgeted.initial_placement);
         assert_eq!(stock.final_placement, budgeted.final_placement);
+    }
+
+    #[test]
+    fn unread_routing_cost_changes_neither_the_artifact_nor_the_fingerprint() {
+        // `cost_model` overrides `routing.cost` in every pipeline, so the
+        // field must not split one artifact across two cache lines.
+        let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
+        let device = Device::montreal();
+        for cost_model in [CostModel::HopCount, CostModel::CalibrationAware] {
+            let [a, b] = [CostModel::HopCount, CostModel::CalibrationAware].map(|routing_cost| {
+                TwoQanCompiler::new(TwoQanConfig {
+                    mapping_trials: 1,
+                    cost_model,
+                    routing: RoutingConfig {
+                        cost: routing_cost,
+                        ..RoutingConfig::default()
+                    },
+                    ..TwoQanConfig::default()
+                })
+            });
+            let (out_a, out_b) = (
+                a.compile(&circuit, &device).unwrap(),
+                b.compile(&circuit, &device).unwrap(),
+            );
+            assert_eq!(out_a.hardware_circuit, out_b.hardware_circuit);
+            assert_eq!(out_a.metrics, out_b.metrics);
+            assert_eq!(out_a.initial_placement, out_b.initial_placement);
+            assert_eq!(out_a.final_placement, out_b.final_placement);
+            assert_eq!(
+                a.cache_fingerprint(),
+                b.cache_fingerprint(),
+                "{cost_model:?}"
+            );
+        }
     }
 
     #[test]

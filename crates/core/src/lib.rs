@@ -38,9 +38,10 @@
 //! and [`BatchCompiler`] ([`batch`]) fans whole workload × device × compiler
 //! sweeps out over a shared work-stealing [`pool::CompilePool`] with
 //! deterministic result ordering; the pool is provisioned once per batch
-//! run and reused by the solvers' nested multi-start restarts (and by
-//! standalone compiles via [`TwoQanConfig::threads`]), so a run at
-//! `--threads N` uses exactly `N` workers with no nested spawning.
+//! run and reused by the solvers' nested multi-start restarts, so a run at
+//! `--threads N` uses exactly `N` workers with no nested spawning.  Outside
+//! a batch (or the compile service's pool) the restarts run on one
+//! process-wide default pool ([`pool::run_indexed`]).
 //!
 //! # Example
 //!

@@ -7,78 +7,43 @@
 //! index*, the outcome is bit-identical to the serial execution regardless
 //! of thread count or scheduling.
 //!
-//! Dispatch order:
-//! 1. If a [`twoqan_pool::CompilePool`] is installed on the current thread
-//!    (the batch driver and `TwoQanConfig::threads` both install one), the
-//!    restarts are submitted to it — no new threads are ever spawned, even
-//!    nested inside a batch job running on a pool worker.
-//! 2. Otherwise a legacy `std::thread::scope` loop sized by
-//!    `available_parallelism()` is used (and recorded in the global
-//!    spawned-thread census so tests can prove the pool path spawns nothing).
-//!
-//! (The build environment has no crates.io access, so this is hand-rolled
-//! rather than a `rayon` dependency.)
+//! The restarts run on the compile pool: the one installed on the current
+//! thread (the batch driver and the compile service install theirs), else
+//! the process-wide default pool (see [`twoqan_pool::run_indexed`]).  No
+//! thread is spawned here, and nested restarts — inside a batch job running
+//! on a pool worker — reuse the same workers.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+/// The compile pool's core count, for callers that size their own work
+/// partitions (the state-vector kernels).
+pub use twoqan_pool::max_useful_workers;
 
 /// Runs `f(0), f(1), …, f(count - 1)` and returns the results in index
 /// order.
 ///
-/// When `parallel` is `true` the indices are processed by the installed
-/// [`twoqan_pool::CompilePool`] if one exists, else by a pool of scoped
-/// threads pulling from a shared counter; with `parallel == false` (or a
-/// single logical CPU and no installed pool) they run serially on the
-/// caller's thread.  The returned vector is identical in every mode (index
-/// `k` always holds `f(k)`), so callers get determinism for free as long as
-/// `f` itself is a pure function of its index.
+/// With `parallel == false` the indices run serially on the caller's
+/// thread; otherwise [`twoqan_pool::run_indexed`] runs them on the installed
+/// pool, else on the default pool.  The returned vector is identical in
+/// every mode (index `k` always holds `f(k)`), so callers get determinism
+/// for free as long as `f` itself is a pure function of its index.
 pub fn run_indexed<T, F>(count: usize, parallel: bool, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if !parallel || count <= 1 {
-        return (0..count).map(f).collect();
+    if parallel {
+        twoqan_pool::run_indexed(count, f)
+    } else {
+        (0..count).map(f).collect()
     }
-    // An installed pool always wins, even when it has a single worker: the
-    // pool is the sole source of compile-work threads while installed.
-    if let Some(results) = twoqan_pool::run_installed(count, &f) {
-        return results;
-    }
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(count);
-    if threads <= 1 {
-        return (0..count).map(f).collect();
-    }
-
-    twoqan_pool::census_add(threads);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= count {
-                    break;
-                }
-                let value = f(k);
-                results.lock().expect("result mutex poisoned")[k] = Some(value);
-            });
-        }
-    });
-    results
-        .into_inner()
-        .expect("result mutex poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every index is processed exactly once"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_pool::CompilePool;
+    use crate::{tabu_search, DistanceMatrix, Graph, QapProblem, TabuConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use twoqan_pool::count_spawns;
 
     #[test]
     fn serial_and_parallel_agree_in_order() {
@@ -95,22 +60,36 @@ mod tests {
     }
 
     #[test]
-    fn installed_pool_is_used_without_spawning() {
-        let pool = CompilePool::new(2);
-        let _guard = pool.install();
-        // Counted in a spawn scope, not as a census difference: other tests
-        // spawn threads concurrently.
-        let (results, spawned) = twoqan_pool::count_spawns(|| run_indexed(32, true, |k| k * 7));
+    fn standalone_parallel_calls_spawn_nothing_but_the_default_pool_once() {
+        let hw = DistanceMatrix::floyd_warshall(&Graph::grid(3, 3));
+        let interactions: Vec<(usize, usize)> = (0..8).map(|i| (i, i + 1)).collect();
+        let problem = QapProblem::from_interactions(9, &interactions, &hw);
+        let config = TabuConfig {
+            restarts: 4,
+            parallel: true,
+            ..TabuConfig::default()
+        };
+        let solve = || tabu_search(&problem, &config, &mut StdRng::seed_from_u64(7));
+        let ((first, second), spawned) = count_spawns(|| {
+            let first = solve();
+            // The first call may have created the default pool, which is
+            // never charged to a caller; the second must find it in place.
+            let (second, spawned) = count_spawns(solve);
+            assert_eq!(spawned, 0);
+            (first, second)
+        });
         assert_eq!(spawned, 0);
-        assert_eq!(results, (0..32).map(|k| k * 7).collect::<Vec<_>>());
+        assert_eq!(first, second);
     }
 
     #[test]
-    fn single_worker_pool_keeps_everything_inline() {
-        let pool = CompilePool::new(1);
-        let _guard = pool.install();
-        let (results, spawned) = twoqan_pool::count_spawns(|| run_indexed(8, true, |k| k + 1));
+    fn nested_standalone_batches_spawn_nothing() {
+        let (sums, spawned) = count_spawns(|| {
+            run_indexed(4, true, |i| {
+                run_indexed(4, true, |j| i * 4 + j).iter().sum::<usize>()
+            })
+        });
         assert_eq!(spawned, 0);
-        assert_eq!(results, (1..=8).collect::<Vec<_>>());
+        assert_eq!(sums, vec![6, 22, 38, 54]);
     }
 }

@@ -3,17 +3,18 @@
 //! The workspace has two layers of data parallelism: the batch driver
 //! (`twoqan::BatchCompiler`) fans compile jobs out over threads, and *inside*
 //! each job the QAP solvers fan their multi-start restarts out again
-//! (`twoqan_graphs::run_indexed`).  Before this crate each layer spawned its
-//! own `std::thread::scope`, which oversubscribes small machines
-//! (jobs × restarts threads) and collapses to serial on 1-core ones.
+//! (`twoqan_graphs::run_indexed`); the state-vector kernels split large
+//! states into chunks the same way.  [`CompilePool`] serves all of them with
+//! **one** set of long-lived worker threads, and [`CompilePool::new`] is the
+//! only place compile-work threads are ever spawned.
 //!
-//! [`CompilePool`] replaces both layers with **one** set of long-lived worker
-//! threads provisioned once per batch run (or once per compile when a
-//! `threads` knob is set).  Work is submitted as *indexed batches*
-//! ([`CompilePool::run_indexed`]): the submitting thread participates as a
-//! worker, idle workers steal tickets from a shared queue, and results are
-//! collected by index, so the output is bit-identical to serial execution for
-//! any worker count and any scheduling.
+//! Work is submitted as *indexed batches* ([`run_indexed`]): the submitting
+//! thread participates as a worker, idle workers steal tickets from a shared
+//! queue, and results are collected by index, so the output is bit-identical
+//! to serial execution for any worker count and any scheduling.  A batch runs
+//! on the pool installed on the current thread ([`CompilePool::install`]),
+//! else on one process-wide default pool of [`max_useful_workers`] workers,
+//! created on first use.
 //!
 //! Nesting is deadlock-free by construction: a worker that is executing a
 //! batch item and submits a nested batch keeps draining indices itself
@@ -21,35 +22,30 @@
 //! for stragglers, so progress never depends on a free worker existing.
 //!
 //! The crate is std-only (the build environment has no crates.io access) and
-//! keeps a global census of every OS thread spawned for compile work — pool
-//! workers and any legacy scoped fallback.  [`count_spawns`] scopes that
-//! count to one caller, so tests can prove that a run at `--threads N` used
-//! exactly `N` workers with no nested spawning even while other code spawns
-//! threads concurrently.
+//! keeps a global census of every pool worker ever spawned.  [`count_spawns`]
+//! scopes that count to one caller, so tests can prove that a run at
+//! `--threads N` used exactly `N` workers with no nested spawning even while
+//! other code spawns threads concurrently.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-/// Global count of OS threads ever spawned for compile work (pool workers
-/// plus any legacy scoped-thread fallback).  Monotonic; read it before and
-/// after an operation to count the threads that operation spawned.
+/// Global count of pool worker threads ever spawned.  Monotonic; read it
+/// before and after an operation to count the threads that operation
+/// spawned.
 static SPAWNED_THREAD_CENSUS: AtomicUsize = AtomicUsize::new(0);
 
-/// Returns the global spawned-thread census (see [`census_add`]).
+/// Returns the number of pool worker threads ever spawned in this process.
 pub fn spawned_thread_census() -> usize {
     SPAWNED_THREAD_CENSUS.load(Ordering::SeqCst)
 }
 
-/// Records `n` newly spawned compile-work threads in the global census, and
-/// in the [`count_spawns`] scope of the current thread, if any.
-///
-/// The pool calls this for its own workers; the legacy scoped fallback in
-/// `twoqan_graphs::run_indexed` calls it for each scoped thread so tests can
-/// assert that no nested spawning happens while a pool is installed.
-pub fn census_add(n: usize) {
+/// Records `n` newly spawned pool workers in the global census, and in the
+/// [`count_spawns`] scope of the current thread, if any.
+fn census_add(n: usize) {
     SPAWNED_THREAD_CENSUS.fetch_add(n, Ordering::SeqCst);
     SPAWN_SCOPE.with(|scope| {
         if let Some(counter) = scope.borrow().as_ref() {
@@ -66,16 +62,8 @@ pub fn census_add(n: usize) {
 /// immune to threads that unrelated code — a concurrently running test, say
 /// — spawns at the same time.
 pub fn count_spawns<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    /// Restores the enclosing scope even if `f` unwinds.
-    struct Restore(Option<Arc<AtomicUsize>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let prev = self.0.take();
-            SPAWN_SCOPE.with(|scope| *scope.borrow_mut() = prev);
-        }
-    }
     let counter = Arc::new(AtomicUsize::new(0));
-    let restore = Restore(SPAWN_SCOPE.with(|scope| scope.replace(Some(Arc::clone(&counter)))));
+    let restore = RestoreScope(SPAWN_SCOPE.with(|scope| scope.replace(Some(Arc::clone(&counter)))));
     let result = f();
     let spawned = counter.load(Ordering::SeqCst);
     if let Some(outer) = &restore.0 {
@@ -84,12 +72,24 @@ pub fn count_spawns<R>(f: impl FnOnce() -> R) -> (R, usize) {
     (result, spawned)
 }
 
+/// Restores the current thread's enclosing [`count_spawns`] scope on drop,
+/// even when the code in between unwinds.
+struct RestoreScope(Option<Arc<AtomicUsize>>);
+
+impl Drop for RestoreScope {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        SPAWN_SCOPE.with(|scope| *scope.borrow_mut() = prev);
+    }
+}
+
 /// The number of workers that can make concurrent progress on this machine.
 ///
-/// Provisioning policies (`BatchCompiler`, the per-compile `threads` knob)
-/// clamp explicit thread requests to this: compile work is CPU-bound, so
-/// workers beyond the core count only add context-switch and condvar churn —
-/// the source of the sub-serial batch sweeps this clamp fixes.
+/// The default pool has this many workers, and provisioning policies
+/// (`BatchCompiler`, the service pool) clamp explicit thread requests to it:
+/// compile work is CPU-bound, so workers beyond the core count only add
+/// context-switch and condvar churn — the source of the sub-serial batch
+/// sweeps this clamp fixes.
 pub fn max_useful_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -244,8 +244,8 @@ impl CompilePool {
 
     /// Installs this pool as the current thread's submission target and
     /// returns a guard that restores the previous target on drop.  While
-    /// installed, `twoqan_graphs::run_indexed` (and anything else using
-    /// [`run_installed`]) routes through this pool instead of spawning.
+    /// installed, [`run_indexed`] (and so the solver restarts and the
+    /// state-vector kernels) routes through this pool.
     pub fn install(&self) -> PoolGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.inner)));
         PoolGuard { prev }
@@ -317,18 +317,39 @@ impl Drop for PoolGuard {
     }
 }
 
-/// Runs an indexed batch on the pool installed on the current thread, if
-/// any.  Returns `None` when no pool is installed (caller should fall back
-/// to its own strategy).  With a 1-worker pool installed this still returns
-/// `Some` — executing serially inline — so an installed pool is *always* the
-/// sole source of compile-work threads.
-pub fn run_installed<T, F>(count: usize, f: &F) -> Option<Vec<T>>
+/// Runs `f(0), …, f(count - 1)` and returns the results in index order, on
+/// the pool installed on the current thread, else on the process-wide
+/// default pool (installed for the duration of the call, so nested batches
+/// reach it too).  A 1-worker pool, or `count <= 1`, runs inline on the
+/// caller.  Panics in `f` are re-raised on the caller as in
+/// [`CompilePool::run_indexed`].
+pub fn run_indexed<T, F>(count: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let inner = CURRENT.with(|c| c.borrow().clone())?;
-    Some(run_on(&inner, count, f))
+    if count <= 1 {
+        return (0..count).map(f).collect();
+    }
+    if let Some(inner) = CURRENT.with(|c| c.borrow().clone()) {
+        return run_on(&inner, count, &f);
+    }
+    let pool = default_pool();
+    let _installed = pool.install();
+    pool.run_indexed(count, f)
+}
+
+/// The process-wide pool [`run_indexed`] falls back to, created on first
+/// use and never dropped (its workers park between batches until the
+/// process exits).  It is created outside the caller's [`count_spawns`]
+/// scope: its one-time spawn belongs to the process, not to whichever caller
+/// came first.
+fn default_pool() -> &'static CompilePool {
+    static DEFAULT: OnceLock<CompilePool> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let _outside_scope = RestoreScope(SPAWN_SCOPE.with(RefCell::take));
+        CompilePool::new(max_useful_workers())
+    })
 }
 
 fn worker_loop(inner: Arc<Inner>) {
@@ -542,8 +563,7 @@ mod tests {
         // Each outer item submits a nested batch; nesting happens both on
         // the caller thread and on the single dedicated worker.
         let outer = pool.run_indexed(8, |i| {
-            let inner: Vec<usize> =
-                run_installed(6, &|j| i * 10 + j).expect("pool is installed on worker threads");
+            let inner: Vec<usize> = run_indexed(6, |j| i * 10 + j);
             inner.iter().sum::<usize>()
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..6).map(|j| i * 10 + j).sum()).collect();
@@ -568,8 +588,52 @@ mod tests {
     }
 
     #[test]
-    fn run_installed_without_pool_returns_none() {
-        assert!(run_installed(3, &|k: usize| k).is_none());
+    fn installed_pool_is_used_without_spawning() {
+        let pool = CompilePool::new(2);
+        let _guard = pool.install();
+        // Counted in a spawn scope, not as a census difference: other tests
+        // spawn threads concurrently.
+        let (results, spawned) = count_spawns(|| {
+            run_indexed(32, |k| {
+                assert_eq!(CompilePool::current_workers(), Some(2));
+                k * 7
+            })
+        });
+        assert_eq!(spawned, 0);
+        assert_eq!(results, (0..32).map(|k| k * 7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn single_worker_pool_keeps_everything_inline() {
+        let pool = CompilePool::new(1);
+        let _guard = pool.install();
+        let caller = std::thread::current().id();
+        let (results, spawned) = count_spawns(|| {
+            run_indexed(8, |k| {
+                assert_eq!(std::thread::current().id(), caller);
+                k + 1
+            })
+        });
+        assert_eq!(spawned, 0);
+        assert_eq!(results, (1..=8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn without_a_pool_batches_run_on_the_default_pool_installed_for_the_call() {
+        assert!(CompilePool::current_workers().is_none());
+        // The default pool may or may not exist yet (tests share the
+        // process); either way its creation is never charged to the caller.
+        let (results, spawned) = count_spawns(|| {
+            run_indexed(16, |k| {
+                assert_eq!(CompilePool::current_workers(), Some(max_useful_workers()));
+                k * k
+            })
+        });
+        assert_eq!(spawned, 0);
+        assert_eq!(results, (0..16).map(|k| k * k).collect::<Vec<_>>());
+        assert!(CompilePool::current_workers().is_none());
+        // Single items never need a pool.
+        assert_eq!(run_indexed(1, |k| k + 5), vec![5]);
     }
 
     #[test]

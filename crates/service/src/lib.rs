@@ -548,7 +548,8 @@ impl CompileService {
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight,
             placements: Mutex::new(Lru::new(config.capacity)),
-            batch: BatchCompiler::new(threads).with_retries(config.retries),
+            // Runs under the installed service pool: no worker count needed.
+            batch: BatchCompiler::default().with_retries(config.retries),
             pool: CompilePool::new(threads),
             stats: Stats::default(),
         }
