@@ -107,10 +107,12 @@ impl Compiler for GenericCompiler {
         Ok(ctx.into_output(self.config.name, report))
     }
 
-    fn cache_fingerprint(&self) -> u64 {
+    fn cache_fingerprint(&self, h: &mut twoqan::hash::ContentHasher) {
         // A custom `GenericConfig` may reuse a display name with different
         // placement/look-ahead knobs, so hash the whole configuration.
-        twoqan::hash::fnv1a_64(&format!("{:?}", self.config))
+        h.write_str(self.config.name);
+        h.write_u8(self.config.line_placement.into());
+        h.write_usize(self.config.lookahead);
     }
 }
 

@@ -64,10 +64,11 @@ impl Compiler for IcQaoaCompiler {
         Ok(ctx.into_output(Compiler::name(self), report))
     }
 
-    fn cache_fingerprint(&self) -> u64 {
+    fn cache_fingerprint(&self, h: &mut twoqan::hash::ContentHasher) {
         // The annealing placement draws from a seeded RNG, so the seed is
         // part of the compiler's identity for caching purposes.
-        twoqan::hash::fnv1a_64(&format!("IC-QAOA|seed={}", self.seed))
+        h.write_str(Compiler::name(self));
+        h.write_u64(self.seed);
     }
 }
 

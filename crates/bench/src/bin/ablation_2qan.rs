@@ -12,7 +12,6 @@
 //! Usage: `cargo run --release -p twoqan-bench --bin ablation_2qan [--quick]`
 
 use twoqan::mapping::InitialMappingStrategy;
-use twoqan::routing::RoutingConfig;
 use twoqan::scheduling::SchedulingStrategy;
 use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_bench::figures::quick_mode;
@@ -27,10 +26,7 @@ fn variants() -> Vec<(&'static str, TwoQanConfig)> {
         (
             "no dressed SWAPs",
             TwoQanConfig {
-                routing: RoutingConfig {
-                    enable_dressing: false,
-                    ..RoutingConfig::default()
-                },
+                enable_dressing: false,
                 ..base.clone()
             },
         ),

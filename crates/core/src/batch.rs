@@ -51,21 +51,12 @@ impl std::fmt::Debug for BatchJob<'_> {
 /// Workers claim jobs from a shared counter and write each result into the
 /// slot matching its job index, so `compile_batch(jobs)[i]` is always the
 /// result of `jobs[i]` — bit-identical to a serial run — independent of the
-/// thread count and of scheduling jitter.
-#[derive(Debug, Clone, Copy)]
+/// thread count and of scheduling jitter.  The default driver has one
+/// worker per available CPU core and no retries.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BatchCompiler {
     threads: usize,
     retries: usize,
-}
-
-impl Default for BatchCompiler {
-    /// One worker per available CPU core, no retries.
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            retries: 0,
-        }
-    }
 }
 
 impl BatchCompiler {

@@ -3,6 +3,7 @@
 use crate::budget::CompileBudget;
 use crate::error::CompileError;
 use crate::fault::FaultInjector;
+use crate::hash::ContentHasher;
 use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig};
 use crate::passes::{AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass};
 use crate::pipeline::{
@@ -32,26 +33,24 @@ pub struct TwoQanConfig {
     /// the fewest SWAPs (then fewest hardware gates) is kept.  The paper runs
     /// the randomised mapping pass 5 times and keeps the best result.
     pub mapping_trials: usize,
-    /// Routing configuration (SWAP dressing on/off).
-    pub routing: RoutingConfig,
+    /// Merge a circuit gate into the SWAP on the same logical pair (dressed
+    /// SWAPs, §III-B); disable only for ablation studies.
+    pub enable_dressing: bool,
     /// Scheduling strategy (hybrid vs. order-respecting, for ablations).
     pub scheduling: SchedulingStrategy,
     /// Base random seed (trial `k` uses `seed + k`).
     pub seed: u64,
-    /// Apply the circuit-unitary-unifying pre-pass before compiling
-    /// (§III-C); disable only for ablation studies.
-    pub unify_input: bool,
     /// The distance cost model — the single switch that drives both the
-    /// QAP mapping distance matrix and the router's SWAP selection
-    /// (it overrides `routing.cost`).  [`CostModel::CalibrationAware`]
-    /// steers placement and routing onto the device target's low-error
-    /// qubits/edges; on a uniform target it reproduces the hop-count
-    /// compilation bit for bit.
+    /// QAP mapping distance matrix and the router's SWAP selection.
+    /// [`CostModel::CalibrationAware`] steers placement and routing onto
+    /// the device target's low-error qubits/edges; on a uniform target it
+    /// reproduces the hop-count compilation bit for bit.
     pub cost_model: CostModel,
     /// Wall-clock deadline / cancellation budget for the compilation.  The
     /// default is unlimited (bit-identical to a compiler without budget
     /// support); under a limited budget the compiler degrades along the
-    /// [`DegradationRung`] ladder instead of erroring.
+    /// [`DegradationRung`] ladder instead of erroring.  Never hashed: only
+    /// an unexpired budget yields a `Full` (cacheable) artifact.
     pub budget: CompileBudget,
     /// Optional warm-start placement (`logical → physical`) from a previous
     /// compile of the same circuit, forwarded to the mapping pass: restart
@@ -70,10 +69,9 @@ impl Default for TwoQanConfig {
             tabu: TabuConfig::default(),
             annealing: AnnealingConfig::default(),
             mapping_trials: 3,
-            routing: RoutingConfig::default(),
+            enable_dressing: true,
             scheduling: SchedulingStrategy::Hybrid,
             seed: 2021,
-            unify_input: true,
             cost_model: CostModel::HopCount,
             budget: CompileBudget::unlimited(),
             warm_start: None,
@@ -100,15 +98,6 @@ impl TwoQanConfig {
             annealing: self.annealing.clone(),
             cost: self.cost_model,
             warm_start: self.warm_start.clone(),
-        }
-    }
-
-    /// The routing-pass configuration implied by this compiler config
-    /// (`routing` with the compiler-level cost model applied).
-    pub fn routing_config(&self) -> RoutingConfig {
-        RoutingConfig {
-            cost: self.cost_model,
-            ..self.routing
         }
     }
 }
@@ -155,8 +144,8 @@ impl TwoQanCompiler {
                 ..self.config.mapping_config()
             })),
             Box::new(PermutationRoutingPass::new(RoutingConfig {
+                enable_dressing: self.config.enable_dressing,
                 cost,
-                ..self.config.routing_config()
             })),
             Box::new(AlapSchedulePass::new(self.config.scheduling)),
             Box::new(DecomposePass),
@@ -206,8 +195,9 @@ impl Compiler for TwoQanCompiler {
     /// runs completed — the first of which is always a hop-count pipeline.
     /// If not even one run completed (deadline already expired on entry, or
     /// every run failed), a trivial-placement + routing fallback that always
-    /// terminates produces the result.  The report records the rung that
-    /// ran, the configured deadline and the budget actually consumed.
+    /// terminates produces the result.  Only a compile whose budget never
+    /// expired is labelled [`DegradationRung::Full`].  The report records
+    /// the rung that ran, the configured deadline and the budget consumed.
     ///
     /// # Errors
     ///
@@ -219,22 +209,16 @@ impl Compiler for TwoQanCompiler {
         let trials = self.config.mapping_trials.max(1);
         // Unify once, up front: the pre-pass draws no randomness, so every
         // trial would redo identical work.
-        let (prepared, unify_record) = if self.config.unify_input {
-            let gates_before = circuit.two_qubit_gate_count();
-            let t0 = std::time::Instant::now();
-            let unified = circuit.unify_same_pair_gates();
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let record = PassRecord {
-                name: "unify",
-                wall_ms,
-                two_qubit_gates_after: unified.two_qubit_gate_count(),
-                depth_after: 0,
-                gate_delta: unified.two_qubit_gate_count() as isize - gates_before as isize,
-                depth_delta: 0,
-            };
-            (unified, Some(record))
-        } else {
-            (circuit.clone(), None)
+        let t0 = std::time::Instant::now();
+        let prepared = circuit.unify_same_pair_gates();
+        let unify_record = PassRecord {
+            name: "unify",
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            two_qubit_gates_after: prepared.two_qubit_gate_count(),
+            depth_after: 0,
+            gate_delta: prepared.two_qubit_gate_count() as isize
+                - circuit.two_qubit_gate_count() as isize,
+            depth_delta: 0,
         };
         // Under the calibration-aware cost model on a heterogeneous target
         // the compiler runs a *portfolio*: every trial seed is compiled
@@ -335,8 +319,11 @@ impl Compiler for TwoQanCompiler {
                 }
             }
         }
+        // `Full` only when every planned run completed and the budget never
+        // expired: an expired budget may have cut a solver short mid-run.
+        let full = completed == planned && !armed.expired();
         let (mut output, rung) = match best {
-            Some((candidate, _)) if completed == planned => (candidate, DegradationRung::Full),
+            Some((candidate, _)) if full => (candidate, DegradationRung::Full),
             Some((candidate, _)) => (candidate, DegradationRung::SinglePipeline),
             // Bottom rung: trivial placement + routing, no iterative search.
             None => match self.trivial_fallback(&prepared, device) {
@@ -347,10 +334,8 @@ impl Compiler for TwoQanCompiler {
                 Err(fallback_err) => return Err(first_error.unwrap_or(fallback_err)),
             },
         };
-        if let Some(record) = unify_record {
-            report.total_ms += record.wall_ms;
-            report.passes.insert(0, record);
-        }
+        report.total_ms += unify_record.wall_ms;
+        report.passes.insert(0, unify_record);
         report.rung = rung;
         report.deadline_ms = self.config.budget.deadline.map(|d| d.as_secs_f64() * 1e3);
         report.budget_consumed_ms = armed.consumed().as_secs_f64() * 1e3;
@@ -358,15 +343,53 @@ impl Compiler for TwoQanCompiler {
         Ok(output)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
-        // Every config knob that can change the artifact is covered (seed,
-        // trials, strategies, cost model, budget).  `routing.cost` is never
-        // read — `cost_model` overrides it in every pipeline — so it is
-        // normalized out to keep configs that build the same artifact on
-        // the same cache line.
-        let mut config = self.config.clone();
-        config.routing.cost = RoutingConfig::default().cost;
-        crate::hash::fnv1a_64(&format!("{}|{config:?}", Compiler::name(self)))
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        // No `..`: a new config field fails to compile here until it is
+        // hashed or given a reason to stay out of the key.  Enums hash by
+        // declaration order, which is therefore part of the key format.
+        let TwoQanConfig {
+            mapping_strategy,
+            tabu:
+                TabuConfig {
+                    max_iterations,
+                    tenure,
+                    stall_limit,
+                    restarts: tabu_restarts,
+                    parallel: _, // pooled restarts are bit-identical to serial ones
+                },
+            annealing:
+                AnnealingConfig {
+                    initial_temperature,
+                    cooling_rate,
+                    moves_per_temperature,
+                    final_temperature,
+                    restarts: annealing_restarts,
+                    parallel: _, // pooled restarts are bit-identical to serial ones
+                },
+            mapping_trials,
+            enable_dressing,
+            scheduling,
+            seed,
+            cost_model,
+            budget: _, // expiry lowers the rung below `Full`, and only `Full` is cached
+            ref warm_start,
+        } = self.config;
+        h.write_str(Compiler::name(self));
+        for tag in [mapping_strategy as u8, scheduling as u8, cost_model as u8] {
+            h.write_u8(tag);
+        }
+        h.write_u8(enable_dressing.into());
+        h.write_u64(seed);
+        h.write_f64_slice(&[initial_temperature, cooling_rate, final_temperature]);
+        for v in [max_iterations, tenure, stall_limit, tabu_restarts] {
+            h.write_usize(v);
+        }
+        for v in [moves_per_temperature, annealing_restarts, mapping_trials] {
+            h.write_usize(v);
+        }
+        // `None` hashes as length 0, `Some(placement)` as its length + 1.
+        h.write_usize(warm_start.as_ref().map_or(0, |p| p.len() + 1));
+        warm_start.iter().flatten().for_each(|&p| h.write_usize(p));
     }
 
     fn warm_clone(&self, placement: &[usize]) -> Option<Box<dyn Compiler>> {
@@ -551,40 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn unread_routing_cost_changes_neither_the_artifact_nor_the_fingerprint() {
-        // `cost_model` overrides `routing.cost` in every pipeline, so the
-        // field must not split one artifact across two cache lines.
-        let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
-        let device = Device::montreal();
-        for cost_model in [CostModel::HopCount, CostModel::CalibrationAware] {
-            let [a, b] = [CostModel::HopCount, CostModel::CalibrationAware].map(|routing_cost| {
-                TwoQanCompiler::new(TwoQanConfig {
-                    mapping_trials: 1,
-                    cost_model,
-                    routing: RoutingConfig {
-                        cost: routing_cost,
-                        ..RoutingConfig::default()
-                    },
-                    ..TwoQanConfig::default()
-                })
-            });
-            let (out_a, out_b) = (
-                a.compile(&circuit, &device).unwrap(),
-                b.compile(&circuit, &device).unwrap(),
-            );
-            assert_eq!(out_a.hardware_circuit, out_b.hardware_circuit);
-            assert_eq!(out_a.metrics, out_b.metrics);
-            assert_eq!(out_a.initial_placement, out_b.initial_placement);
-            assert_eq!(out_a.final_placement, out_b.final_placement);
-            assert_eq!(
-                a.cache_fingerprint(),
-                b.cache_fingerprint(),
-                "{cost_model:?}"
-            );
-        }
-    }
-
-    #[test]
     fn zero_deadline_compiles_via_the_trivial_fallback() {
         use std::time::Duration;
         let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
@@ -636,6 +625,32 @@ mod tests {
         let report = &result.report;
         assert_eq!(report.rung, DegradationRung::Full);
         assert!(report.budget_consumed_ms > 0.0);
+        assert!(result.hardware_compatible(&device));
+    }
+
+    #[test]
+    fn deadline_expiring_inside_the_only_run_is_not_full() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        use std::time::Duration;
+        // The injected 5 ms delay before the mapping pass outlasts the 1 ms
+        // deadline, so the Tabu search stops at its first budget check: the
+        // one planned run completes, but truncated.
+        let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
+        let device = Device::montreal();
+        let injector = Arc::new(FaultInjector::new(FaultConfig {
+            delay_probability: 1.0,
+            delay: Duration::from_millis(5),
+            ..FaultConfig::default()
+        }));
+        let result = TwoQanCompiler::new(TwoQanConfig {
+            mapping_trials: 1,
+            budget: CompileBudget::with_deadline(Duration::from_millis(1)),
+            ..TwoQanConfig::default()
+        })
+        .with_fault_injector(injector)
+        .compile(&circuit, &device)
+        .unwrap();
+        assert_ne!(result.report.rung, DegradationRung::Full);
         assert!(result.hardware_compatible(&device));
     }
 
@@ -716,12 +731,17 @@ mod tests {
             "warm placement cost {warm_cost} worse than seed cost {seed_cost}"
         );
         // The seed changes the artifact, so it must change the cache key.
-        assert_ne!(cold.cache_fingerprint(), warm.cache_fingerprint());
+        let fingerprint = |c: &dyn Compiler| {
+            let mut h = ContentHasher::new();
+            c.cache_fingerprint(&mut h);
+            h.finish()
+        };
+        assert_ne!(fingerprint(&cold), fingerprint(warm.as_ref()));
         let mut other_seed = seed.clone();
         other_seed.swap(0, 1);
         assert_ne!(
-            warm.cache_fingerprint(),
-            cold.warm_clone(&other_seed).unwrap().cache_fingerprint(),
+            fingerprint(warm.as_ref()),
+            fingerprint(cold.warm_clone(&other_seed).unwrap().as_ref()),
             "different seeds must land on different cache lines"
         );
     }

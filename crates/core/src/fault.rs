@@ -17,6 +17,7 @@
 //! chaos runs bit-identical to the stock pipeline.
 
 use crate::error::CompileError;
+use crate::hash::ContentHasher;
 use crate::pipeline::{CompiledOutput, Compiler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -217,12 +218,13 @@ impl Compiler for ChaosCompiler {
         self.inner.compile(circuit, device)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
         // Chaos compiles are deliberately nondeterministic (the injector is
         // stateful), so keep the fingerprint distinct from the wrapped
         // compiler's: a content-addressed cache must never serve a chaos
         // result for the real compiler or vice versa.
-        crate::hash::fnv1a_64(&format!("chaos|{:016x}", self.inner.cache_fingerprint()))
+        h.write_str("chaos");
+        self.inner.cache_fingerprint(h);
     }
 }
 

@@ -3,10 +3,12 @@
 //! The compilation service (`twoqan-service`) keys its cache by a content
 //! hash of everything that determines a compile's output: the canonicalized
 //! workload circuit, the device topology and gate set, the calibration
-//! (`Target`) snapshot, and the compiler's configuration fingerprint.  That
-//! hash must be *stable* — the same inputs must produce the same key across
-//! runs, processes and releases — so `std::hash` (randomly seeded, layout
-//! dependent) is off the table.  [`ContentHasher`] is a 128-bit FNV-1a over
+//! (`Target`) snapshot, and the compiler's configuration, which every
+//! compiler writes into the same hasher through
+//! [`crate::Compiler::cache_fingerprint`].  That hash must be *stable* —
+//! the same inputs must produce the same key across runs, processes and
+//! releases — so `std::hash` (randomly seeded, layout dependent) is off the
+//! table.  [`ContentHasher`] is a 128-bit FNV-1a over
 //! an explicit byte encoding: every `write_*` method appends a fixed,
 //! documented byte sequence, and compound writers length-prefix variable
 //! data so adjacent fields can never alias (e.g. `("ab", "c")` vs
@@ -20,10 +22,6 @@
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 /// 128-bit FNV-1a prime.
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
-/// 64-bit FNV-1a offset basis.
-const FNV64_OFFSET: u64 = 0xcbf29ce484222325;
-/// 64-bit FNV-1a prime.
-const FNV64_PRIME: u64 = 0x00000100000001b3;
 
 /// An incremental, seed-free, platform-independent 128-bit FNV-1a hasher.
 ///
@@ -100,17 +98,6 @@ impl ContentHasher {
     }
 }
 
-/// Stable 64-bit FNV-1a of a string — the building block for
-/// [`crate::Compiler::cache_fingerprint`] implementations.
-pub fn fnv1a_64(s: &str) -> u64 {
-    let mut state = FNV64_OFFSET;
-    for &b in s.as_bytes() {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV64_PRIME);
-    }
-    state
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,14 +125,6 @@ mod tests {
                 h.write_f64(1.5000001);
             })
         );
-    }
-
-    #[test]
-    fn known_fnv1a_64_vectors() {
-        // Reference vectors for the standard 64-bit FNV-1a parameters.
-        assert_eq!(fnv1a_64(""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a_64("a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a_64("foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::budget::SolverBudget;
 use crate::error::CompileError;
 use crate::fault::FaultInjector;
+use crate::hash::ContentHasher;
 use crate::mapping::QubitMap;
 use crate::routing::RoutedCircuit;
 use rand::rngs::StdRng;
@@ -245,11 +246,13 @@ pub struct PassRecord {
 /// a trivial-placement + routing fallback that always terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DegradationRung {
-    /// The full planned portfolio (all trials × all pipelines) ran.
+    /// The full planned portfolio (all trials × all pipelines) ran and the
+    /// budget never expired.
     #[default]
     Full,
-    /// The budget truncated the portfolio; at least one complete pipeline
-    /// run produced the result.
+    /// The budget expired before the compile returned — it truncated the
+    /// portfolio, cut a solver short, or both; at least one complete
+    /// pipeline run produced the result.
     SinglePipeline,
     /// No pipeline run completed within budget; the result came from the
     /// trivial placement + routing fallback.
@@ -537,15 +540,15 @@ pub trait Compiler: Send + Sync {
     /// on the device, and propagates pass failures.
     fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError>;
 
-    /// A stable fingerprint of this compiler's identity *and* configuration,
-    /// folded into compile-cache keys by `twoqan-service`.  Two compilers
-    /// with equal fingerprints must produce bit-identical output for the
-    /// same (circuit, device); a configurable compiler therefore must
-    /// override this to cover every output-affecting knob (seed, trial
-    /// count, strategy, …).  The default covers stateless compilers: a
-    /// stable hash of [`Compiler::name`] alone.
-    fn cache_fingerprint(&self) -> u64 {
-        crate::hash::fnv1a_64(self.name())
+    /// Writes this compiler's identity and every setting that determines
+    /// its [`DegradationRung::Full`] artifact into `h`, the hasher
+    /// `twoqan-service` builds cache keys with.  Equal bytes must mean
+    /// bit-identical full-quality output for the same (circuit, device);
+    /// settings that cannot change it (deadline, cancel token, thread mode)
+    /// stay out.  Configurable compilers override this field by field; the
+    /// default covers stateless ones: [`Compiler::name`] alone.
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        h.write_str(self.name());
     }
 
     /// A reduced-effort variant of this compiler warm-started from a known

@@ -396,11 +396,6 @@ pub fn route<R: Rng + ?Sized>(
 
     let mut state = RouterState::new(initial_map.clone(), unrouted, circuit, device, config.cost);
 
-    // Safeguard against pathological non-progress: after this many SWAPs we
-    // switch to a forced-progress selection rule.
-    let force_progress_after = (state.total_cost as usize) * 4 + 16;
-    let mut inserted_swaps = 0usize;
-
     while !state.unrouted.is_empty() {
         // Line 5: select the unrouted gate with the shortest hardware distance.
         let (gate_idx, _) = state
@@ -420,16 +415,7 @@ pub fn route<R: Rng + ?Sized>(
         }
 
         // Line 7: evaluate the SWAP selection criteria.
-        let force_progress = inserted_swaps >= force_progress_after;
-        let chosen = select_swap(
-            &candidates,
-            &target_gate,
-            &state,
-            &busy,
-            config,
-            force_progress,
-            rng,
-        );
+        let chosen = select_swap(&candidates, &target_gate, &state, &busy, config, rng);
 
         // SWAP unitary unifying: merge a circuit gate on the same logical
         // pair into the SWAP if one exists.
@@ -453,7 +439,6 @@ pub fn route<R: Rng + ?Sized>(
         busy[chosen.0] += 1;
         busy[chosen.1] += 1;
         stages.last_mut().expect("at least one stage").swap = Some(swap_action);
-        inserted_swaps += 1;
 
         // Lines 8-10: update the map in place and collect newly
         // nearest-neighbour gates (their maintained distance dropped to 1).
@@ -508,14 +493,12 @@ fn candidate_swaps(gate: &Gate, map: &QubitMap, device: &Device) -> Vec<(usize, 
 /// [`RouterState`]: the target-gate distance and the remaining Eq.-7 cost
 /// are evaluated as deltas over the gates the SWAP touches, without cloning
 /// the qubit map or rescanning the unrouted set.
-#[allow(clippy::too_many_arguments)]
 fn select_swap<R: Rng + ?Sized>(
     candidates: &[(usize, usize)],
     target_gate: &Gate,
     state: &RouterState<'_>,
     busy: &[usize],
     config: &RoutingConfig,
-    force_progress: bool,
     rng: &mut R,
 ) -> (usize, usize) {
     #[derive(PartialEq, PartialOrd)]
@@ -525,8 +508,8 @@ fn select_swap<R: Rng + ?Sized>(
     let mut best_score: Option<Score> = None;
 
     for &swap in candidates {
-        // Criterion 0 (only in forced-progress mode): the selected gate's
-        // distance after the SWAP — guarantees termination.
+        // Criterion 0: the target gate's distance after the SWAP.  It always
+        // leads, which guarantees termination.
         let target_distance = f64::from(state.gate_distance_after(target_gate, swap.0, swap.1));
         // Criterion 1: remaining Eq.-7 cost over all unrouted gates — hop
         // counts by default, −log-fidelity-weighted (plus the SWAP's own
@@ -551,9 +534,7 @@ fn select_swap<R: Rng + ?Sized>(
         // The SWAP is inserted "for gate g" (Algorithm 1, line 7): only
         // candidates that bring the target gate closer are competitive, so
         // the target distance leads the comparison; the paper's three
-        // criteria order the remaining ties.  (`force_progress` is the
-        // defensive fallback mode and uses the same ordering.)
-        let _ = force_progress;
+        // criteria order the remaining ties.
         let score = Score(target_distance, remaining_cost, depth_cost, mergeable);
         match &best_score {
             Some(b) if score > *b => {}

@@ -1,5 +1,9 @@
 //! The cache-key format: the content hashes [`CompileService`] keys its
-//! artifact cache and its drift-stable placement index by.
+//! artifact cache and its drift-stable placement index by.  Both keys feed
+//! one [`ContentHasher`]: the compiler writes its own identity and
+//! settings into it ([`Compiler::cache_fingerprint`]), then the circuit
+//! and the device follow.  Changing any of these encodings moves every
+//! key once, which is safe: at worst one cold compile per entry.
 //!
 //! [`CompileService`]: crate::CompileService
 
@@ -14,7 +18,7 @@ use twoqan_device::{Device, Target, TwoQubitBasis};
 /// configuration fingerprint.
 pub fn cache_key(compiler: &dyn Compiler, circuit: &Circuit, device: &Device) -> u128 {
     let mut h = ContentHasher::new();
-    h.write_u64(compiler.cache_fingerprint());
+    compiler.cache_fingerprint(&mut h);
     hash_circuit(&mut h, circuit);
     hash_device(&mut h, device);
     h.finish()
@@ -141,7 +145,7 @@ fn hash_topology(h: &mut ContentHasher, device: &Device) {
 /// [`CompileService::recompile`]: crate::CompileService::recompile
 pub fn stable_key(compiler: &dyn Compiler, circuit: &Circuit, device: &Device) -> u128 {
     let mut h = ContentHasher::new();
-    h.write_u64(compiler.cache_fingerprint());
+    compiler.cache_fingerprint(&mut h);
     hash_circuit(&mut h, circuit);
     hash_topology(&mut h, device);
     h.finish()

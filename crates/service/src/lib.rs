@@ -118,9 +118,6 @@ pub struct ServiceConfig {
     /// core).  Provisioned **once** at construction — requests never pay
     /// per-call pool spawn costs.
     pub threads: usize,
-    /// Per-job retry budget for transient compile failures (see
-    /// [`BatchCompiler::with_retries`]).
-    pub retries: usize,
     /// Maximum number of concurrently admitted miss compiles (in-flight
     /// *leaders*); `0` means unbounded.  A request that would start a new
     /// compile while the cap is saturated is fast-rejected with
@@ -130,14 +127,13 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// 1024 cached outputs over 8 shards, one worker per core, no retries,
-    /// unbounded admission.
+    /// 1024 cached outputs over 8 shards, one worker per core, unbounded
+    /// admission.
     fn default() -> Self {
         Self {
             capacity: 1024,
             shards: 8,
             threads: 0,
-            retries: 0,
             max_in_flight: 0,
         }
     }
@@ -151,7 +147,7 @@ pub enum ServiceError {
         /// The requested compiler name.
         name: String,
     },
-    /// The compile itself failed (after any configured retries).
+    /// The compile itself failed.
     Compile(CompileError),
     /// The admission cap on concurrent miss compiles is saturated: serving
     /// this request would require starting a new compile, and
@@ -549,7 +545,7 @@ impl CompileService {
             max_in_flight: config.max_in_flight,
             placements: Mutex::new(Lru::new(config.capacity)),
             // Runs under the installed service pool: no worker count needed.
-            batch: BatchCompiler::default().with_retries(config.retries),
+            batch: BatchCompiler::default(),
             pool: CompilePool::new(threads),
             stats: Stats::default(),
         }
@@ -835,7 +831,7 @@ impl CompileService {
     }
 
     /// Runs one leader compile of the pending request through `compiler`
-    /// (the [`BatchCompiler`] supplies retries and panic isolation) and
+    /// (the [`BatchCompiler`] supplies panic isolation) and
     /// times it from the request's arrival.
     fn compile_timed(&self, pending: &Pending<'_>, compiler: &dyn Compiler) -> Timed {
         let queue_wait_ms = ms_since(pending.arrival);
@@ -1116,7 +1112,6 @@ mod tests {
             capacity: 64,
             shards: 4,
             threads: 1,
-            retries: 0,
             max_in_flight: 0,
         })
     }

@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
+use twoqan::hash::ContentHasher;
 use twoqan::pipeline::{CompiledOutput, Compiler, DegradationRung};
 use twoqan::{
     CompileBudget, CompileError, FaultConfig, FaultInjector, TwoQanCompiler, TwoQanConfig,
@@ -39,7 +40,6 @@ fn config() -> ServiceConfig {
         capacity: 64,
         shards: 4,
         threads: 1,
-        retries: 0,
         max_in_flight: 0,
     }
 }
@@ -69,8 +69,8 @@ impl Compiler for CountingCompiler {
         self.inner.compile(circuit, device)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
-        self.inner.cache_fingerprint()
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        self.inner.cache_fingerprint(h)
     }
 }
 
@@ -181,8 +181,8 @@ impl Compiler for FaultedCompiler {
         self.inner.compile(circuit, device)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
-        self.inner.cache_fingerprint()
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        self.inner.cache_fingerprint(h)
     }
 }
 
@@ -277,8 +277,8 @@ impl Compiler for GatedCompiler {
         self.inner.compile(circuit, device)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
-        self.inner.cache_fingerprint()
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        self.inner.cache_fingerprint(h)
     }
 }
 
@@ -378,8 +378,8 @@ impl Compiler for DegradedGateCompiler {
         Compiler::compile(&self.starved, circuit, device)
     }
 
-    fn cache_fingerprint(&self) -> u64 {
-        self.starved.cache_fingerprint()
+    fn cache_fingerprint(&self, h: &mut ContentHasher) {
+        self.starved.cache_fingerprint(h)
     }
 }
 

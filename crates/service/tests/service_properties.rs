@@ -1,6 +1,6 @@
 //! The cache-correctness property suite of the compilation service.
 //!
-//! Four properties from the service's contract:
+//! Five properties from the service's contract:
 //!
 //! 1. a cache hit is bit-identical to a cold compile, for **every**
 //!    registered compiler (modulo wall-clock timing instrumentation, which
@@ -11,16 +11,22 @@
 //!    the cache key — a drifted device can never be served a stale artifact,
 //! 4. a compile that failed, or that a deadline degraded below
 //!    [`DegradationRung::Full`], is never cached as the full-quality
-//!    artifact.
+//!    artifact,
+//! 5. the key covers every setting that determines the full-quality 2QAN
+//!    artifact and nothing else: not the deadline, not the cancel token's
+//!    state, not the solvers' thread mode.
 
 use std::time::Duration;
 use twoqan::pipeline::{Compiler, DegradationRung};
-use twoqan::{CompileBudget, TwoQanCompiler, TwoQanConfig};
+use twoqan::scheduling::SchedulingStrategy;
+use twoqan::{
+    CancelToken, CompileBudget, CostModel, InitialMappingStrategy, TwoQanCompiler, TwoQanConfig,
+};
 use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
-use twoqan_service::{bit_identical, CompileService, ServiceConfig, ServiceError};
+use twoqan_service::{bit_identical, cache_key, CompileService, ServiceConfig, ServiceError};
 
 fn workload(n: usize, seed: u64) -> Circuit {
     trotter_step(&nnn_ising(n, seed), 1.0)
@@ -31,7 +37,6 @@ fn small_service(capacity: usize, shards: usize) -> CompileService {
         capacity,
         shards,
         threads: 1,
-        retries: 0,
         max_in_flight: 0,
     })
 }
@@ -177,7 +182,6 @@ fn failed_or_degraded_compiles_are_never_cached() {
             capacity: 16,
             shards: 1,
             threads: 1,
-            retries: 0,
             max_in_flight: 0,
         },
         vec![Box::new(starved) as Box<dyn Compiler>],
@@ -204,4 +208,113 @@ fn failed_or_degraded_compiles_are_never_cached() {
         Err(ServiceError::Compile(_))
     ));
     assert!(service.is_empty());
+}
+
+/// Property 5, field by field: every hashed 2QAN setting moves the key;
+/// the budget and the solvers' `parallel` flags leave it where it is.
+#[test]
+fn the_key_covers_exactly_the_artifact_determining_settings() {
+    let circuit = workload(8, 1);
+    let device = Device::montreal();
+    let key = |config: TwoQanConfig| cache_key(&TwoQanCompiler::new(config), &circuit, &device);
+    let with = |edit: &dyn Fn(&mut TwoQanConfig)| {
+        let mut config = TwoQanConfig::default();
+        edit(&mut config);
+        config
+    };
+    let stock = key(TwoQanConfig::default());
+    let hashed = [
+        (
+            "mapping_strategy",
+            with(&|c| c.mapping_strategy = InitialMappingStrategy::SimulatedAnnealing),
+        ),
+        ("tabu.max_iterations", with(&|c| c.tabu.max_iterations += 1)),
+        ("tabu.tenure", with(&|c| c.tabu.tenure += 1)),
+        ("tabu.stall_limit", with(&|c| c.tabu.stall_limit += 1)),
+        ("tabu.restarts", with(&|c| c.tabu.restarts += 1)),
+        (
+            "annealing.initial_temperature",
+            with(&|c| c.annealing.initial_temperature *= 2.0),
+        ),
+        (
+            "annealing.cooling_rate",
+            with(&|c| c.annealing.cooling_rate /= 2.0),
+        ),
+        (
+            "annealing.moves_per_temperature",
+            with(&|c| c.annealing.moves_per_temperature += 1),
+        ),
+        (
+            "annealing.final_temperature",
+            with(&|c| c.annealing.final_temperature *= 2.0),
+        ),
+        ("annealing.restarts", with(&|c| c.annealing.restarts += 1)),
+        ("mapping_trials", with(&|c| c.mapping_trials += 1)),
+        ("enable_dressing", with(&|c| c.enable_dressing = false)),
+        (
+            "scheduling",
+            with(&|c| c.scheduling = SchedulingStrategy::OrderRespecting),
+        ),
+        ("seed", with(&|c| c.seed += 1)),
+        (
+            "cost_model",
+            with(&|c| c.cost_model = CostModel::CalibrationAware),
+        ),
+        (
+            "warm_start",
+            with(&|c| c.warm_start = Some((0..8).collect())),
+        ),
+    ];
+    for (field, config) in hashed {
+        assert_ne!(key(config), stock, "{field} must change the key");
+    }
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let ignored = [
+        (
+            "deadline",
+            with(&|c| c.budget = CompileBudget::with_deadline(Duration::from_millis(1))),
+        ),
+        (
+            "cancelled token",
+            with(&|c| c.budget = CompileBudget::unlimited().with_cancel_token(cancelled.clone())),
+        ),
+        ("tabu.parallel", with(&|c| c.tabu.parallel = false)),
+        (
+            "annealing.parallel",
+            with(&|c| c.annealing.parallel = false),
+        ),
+    ];
+    for (field, config) in ignored {
+        assert_eq!(key(config), stock, "{field} must leave the key unchanged");
+    }
+}
+
+/// Property 5, end to end: cancelling a registered compiler's token after
+/// its full-quality artifact was cached leaves the key unchanged, so the
+/// same request is served from the cache.
+#[test]
+fn cancelling_the_compilers_token_keeps_its_cached_artifact_reachable() {
+    let token = CancelToken::new();
+    let compiler = TwoQanCompiler::new(TwoQanConfig {
+        budget: CompileBudget::unlimited().with_cancel_token(token.clone()),
+        ..TwoQanConfig::default()
+    });
+    let service = CompileService::with_compilers(
+        ServiceConfig {
+            capacity: 16,
+            shards: 1,
+            threads: 1,
+            max_in_flight: 0,
+        },
+        vec![Box::new(compiler) as Box<dyn Compiler>],
+    );
+    let circuit = workload(8, 1);
+    let device = Device::montreal();
+    let miss = service.request("2QAN", &circuit, &device).unwrap();
+    assert!(miss.cached, "an unexpired budget compiles at full quality");
+    token.cancel();
+    let again = service.request("2QAN", &circuit, &device).unwrap();
+    assert!(again.hit, "cancelling the token must not move the key");
+    assert!(bit_identical(&again.output, &miss.output));
 }

@@ -202,16 +202,16 @@ fn legacy_2qan_compile(
     use rand::SeedableRng;
     use twoqan_repro::twoqan::decompose::hardware_metrics_with_target;
     use twoqan_repro::twoqan::mapping::initial_mapping;
-    use twoqan_repro::twoqan::routing::route;
+    use twoqan_repro::twoqan::routing::{route, RoutingConfig};
     use twoqan_repro::twoqan::scheduling::schedule;
     use twoqan_repro::twoqan::SolverBudget;
 
-    let prepared = if config.unify_input {
-        circuit.unify_same_pair_gates()
-    } else {
-        circuit.clone()
-    };
+    let prepared = circuit.unify_same_pair_gates();
     let mapping_config = config.mapping_config();
+    let routing_config = RoutingConfig {
+        enable_dressing: config.enable_dressing,
+        cost: config.cost_model,
+    };
     let mut best: Option<CompiledOutput> = None;
     for trial in 0..config.mapping_trials.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(trial as u64));
@@ -223,7 +223,7 @@ fn legacy_2qan_compile(
             &mut rng,
         )
         .unwrap();
-        let routed = route(&prepared, device, &map, &config.routing, &mut rng).unwrap();
+        let routed = route(&prepared, device, &map, &routing_config, &mut rng).unwrap();
         let hardware_circuit = schedule(&routed, device, config.scheduling);
         let metrics = hardware_metrics_with_target(
             &hardware_circuit,
