@@ -19,6 +19,8 @@
 //!     [--samples N] [--out PATH] [--threads T1,T2,...] [--smoke]
 //! cargo run --release -p twoqan-bench --bin bench_baseline -- --kernels \
 //!     [--samples N] [--out PATH] [--smoke]
+//! cargo run --release -p twoqan-bench --bin bench_baseline -- --scaling \
+//!     [--samples N] [--out PATH] [--smoke]
 //! cargo run --release -p twoqan-bench --bin bench_baseline -- --check PATH \
 //!     [--samples N] [--tolerance PCT]
 //! ```
@@ -33,6 +35,11 @@
 //! implementations kept in `twoqan_graphs::tabu`) and the dense 4×4
 //! statevector kernel (SIMD vs. scalar), writing `BENCH_kernels.json`.
 //!
+//! `--scaling` instead prints a Markdown table per family (QAOA-REG-3,
+//! NNN-Heisenberg): every pass's median ms of a one-trial 2QAN pipeline at
+//! n = 80/200/300/400/500 on square CNOT grids, and each pass's fitted
+//! log-log exponent (`--out` also writes it to PATH; `--smoke`: n = 20/40).
+//!
 //! `--check PATH` re-measures the n = 80 end-to-end compile and fails if it
 //! regressed more than `--tolerance` percent (default 10) against the
 //! committed baseline at PATH — the CI perf guard.  See `BENCHMARKS.md` for
@@ -41,10 +48,10 @@
 use std::time::Instant;
 use twoqan::{BatchCompiler, BatchJob, Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
-use twoqan_bench::harness::{any, emit, gate, median, median_ms, Args, Baseline};
-use twoqan_bench::{scaling_device, LARGE_SCALING_SIZE, SCALING_SIZES};
+use twoqan_bench::harness::{any, emit, gate, loglog_slope, median, median_ms, Args, Baseline};
+use twoqan_bench::{scaling_device, Workload, WorkloadKind, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
-use twoqan_device::Device;
+use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_graphs::tabu::{
     build_delta_table_reference, select_best_move, select_best_move_reference, DeltaTable,
 };
@@ -71,22 +78,50 @@ struct Entry {
 fn measure(n: usize, samples: usize) -> Entry {
     let device = scaling_device(n);
     let circuit = trotter_step(&nnn_heisenberg(n, 1), 1.0);
+    let (passes, end_to_end_ms) = pass_medians(&circuit, &device, samples);
+    let pass_ms = |name: &str| {
+        passes
+            .iter()
+            .find(|(pass, _)| *pass == name)
+            .map(|&(_, ms)| ms)
+            .unwrap_or_else(|| panic!("pipeline has no {name} pass"))
+    };
+
+    Entry {
+        n,
+        device: device.name().to_string(),
+        samples,
+        mapping_ms: pass_ms("qap-mapping"),
+        routing_ms: pass_ms("permutation-routing"),
+        scheduling_ms: pass_ms("alap-schedule"),
+        end_to_end_ms,
+        passes,
+    }
+}
+
+/// Compiles `circuit` onto `device` with a one-trial 2QAN pipeline `samples`
+/// times (after a warm-up) and returns every pass's median wall-clock ms, in
+/// pipeline order, plus the median external wall-clock of the same compiles.
+fn pass_medians(
+    circuit: &Circuit,
+    device: &Device,
+    samples: usize,
+) -> (Vec<(&'static str, f64)>, f64) {
     let compiler = TwoQanCompiler::new(TwoQanConfig {
         mapping_trials: 1,
         ..TwoQanConfig::default()
     });
 
     // ONE sample set for everything: `samples` instrumented compiles (plus a
-    // warm-up that also fixes the pass list).  The headline per-stage numbers
-    // are the medians of the corresponding pipeline passes and the end-to-end
-    // median is the external wall-clock of the same runs, so the `mapping_ms`
-    // column and the `qap-mapping` pass can never disagree about what was
-    // measured.
+    // warm-up that also fixes the pass list).  The per-pass numbers are the
+    // medians of the pipeline's own pass records and the end-to-end median is
+    // the external wall-clock of the same runs, so a `mapping_ms` column and
+    // the `qap-mapping` pass can never disagree about what was measured.
     let mut per_pass: Vec<(&'static str, Vec<f64>)> = Vec::new();
     let mut end_to_end: Vec<f64> = Vec::with_capacity(samples);
     for sample in 0..=samples {
         let t0 = Instant::now();
-        let report = compiler.compile(&circuit, &device).unwrap().report;
+        let report = compiler.compile(circuit, device).unwrap().report;
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         if sample == 0 {
             // Warm-up run (populates the device distance cache etc.).
@@ -103,28 +138,11 @@ fn measure(n: usize, samples: usize) -> Entry {
             slot.1.push(record.wall_ms);
         }
     }
-    let passes: Vec<(&'static str, f64)> = per_pass
+    let passes = per_pass
         .into_iter()
         .map(|(name, mut samples)| (name, median(&mut samples)))
         .collect();
-    let pass_ms = |name: &str| {
-        passes
-            .iter()
-            .find(|(pass, _)| *pass == name)
-            .map(|&(_, ms)| ms)
-            .unwrap_or_else(|| panic!("pipeline has no {name} pass"))
-    };
-
-    Entry {
-        n,
-        device: device.name().to_string(),
-        samples,
-        mapping_ms: pass_ms("qap-mapping"),
-        routing_ms: pass_ms("permutation-routing"),
-        scheduling_ms: pass_ms("alap-schedule"),
-        end_to_end_ms: median(&mut end_to_end),
-        passes,
-    }
+    (passes, median(&mut end_to_end))
 }
 
 /// One point of the batch-driver thread sweep.
@@ -419,6 +437,66 @@ fn run_kernels(samples: usize, smoke: bool, out: &str) {
 }
 
 // ---------------------------------------------------------------------------
+// `--scaling`: per-pass times and their growth at large sizes.
+// ---------------------------------------------------------------------------
+
+/// Sizes of the full `--scaling` table; `--smoke` runs [`SCALING_SMOKE_SIZES`].
+const SCALING_TABLE_SIZES: [usize; 5] = [80, 200, 300, 400, 500];
+const SCALING_SMOKE_SIZES: [usize; 2] = [20, 40];
+
+/// A Markdown table per family of every pass's median ms at each
+/// size on the smallest square CNOT grid that fits (the stock devices stop
+/// at 210 qubits), then each pass's least-squares log-log exponent.
+fn scaling_table(samples: usize, smoke: bool) -> String {
+    let sizes: &[usize] = if smoke {
+        &SCALING_SMOKE_SIZES
+    } else {
+        &SCALING_TABLE_SIZES
+    };
+    let mut md = String::new();
+    for kind in [WorkloadKind::QaoaRegular(3), WorkloadKind::NnnHeisenberg] {
+        let rows: Vec<_> = sizes
+            .iter()
+            .map(|&n| {
+                let side = (1..).find(|s| s * s >= n).expect("some square fits n");
+                let device = Device::grid(side, side, TwoQubitBasis::Cnot);
+                let circuit = Workload::generate(kind, n, 0).circuit;
+                let (mut passes, end_to_end_ms) = pass_medians(&circuit, &device, samples);
+                passes.push(("end-to-end", end_to_end_ms));
+                eprintln!("scaling: {} n={n} done", kind.name());
+                (n, device, passes)
+            })
+            .collect();
+        let names: Vec<&str> = rows[0].2.iter().map(|&(name, _)| name).collect();
+        md.push_str(&format!(
+            "\n{} (one-trial 2QAN pipeline, median ms of {samples}):\n\n| n | device | {} |\n|---|---|{}\n",
+            kind.name(),
+            names.join(" | "),
+            "---|".repeat(names.len())
+        ));
+        for (n, device, passes) in &rows {
+            let cells: Vec<String> = passes.iter().map(|(_, ms)| format!("{ms:.3}")).collect();
+            md.push_str(&format!(
+                "| {n} | {} | {} |\n",
+                device.name(),
+                cells.join(" | ")
+            ));
+        }
+        let exponents: Vec<String> = (0..names.len())
+            .map(|p| {
+                let points: Vec<(f64, f64)> = rows
+                    .iter()
+                    .map(|(n, _, passes)| (*n as f64, passes[p].1))
+                    .collect();
+                format!("n^{:.2}", loglog_slope(&points))
+            })
+            .collect();
+        md.push_str(&format!("| fit | | {} |\n", exponents.join(" | ")));
+    }
+    md
+}
+
+// ---------------------------------------------------------------------------
 // `--check`: the CI perf-regression guard.
 // ---------------------------------------------------------------------------
 
@@ -461,6 +539,7 @@ struct Options {
     threads: Vec<usize>,
     smoke: bool,
     kernels: bool,
+    scaling: bool,
     check: Option<String>,
     tolerance_pct: f64,
 }
@@ -480,6 +559,7 @@ fn options(args: &mut Args) -> Result<Options, String> {
         threads: threads.map_or(vec![1, 2, 4], |spec| parse_thread_list(&spec).unwrap()),
         smoke,
         kernels: args.flag("--kernels"),
+        scaling: args.flag("--scaling"),
         check: args.value("--check", "the committed baseline path", any)?,
         tolerance_pct: tolerance_pct.unwrap_or(10.0),
     })
@@ -490,6 +570,14 @@ fn main() {
     let (samples, smoke) = (opts.samples, opts.smoke);
     if let Some(baseline) = opts.check {
         run_check(&baseline, samples, opts.tolerance_pct);
+        return;
+    }
+    if opts.scaling {
+        let table = scaling_table(samples, smoke);
+        match opts.out {
+            Some(out) => emit(&out, &table),
+            None => println!("{table}"),
+        }
         return;
     }
     if opts.kernels {

@@ -121,6 +121,20 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
+/// The least-squares slope of `ln y` against `ln x`: the exponent `k` of the
+/// power law `y ∝ x^k` that best fits the points.  Needs at least two
+/// distinct `x`; every coordinate must be positive.
+pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let (mx, my) = (
+        mean(&logs.iter().map(|p| p.0).collect::<Vec<_>>()),
+        mean(&logs.iter().map(|p| p.1).collect::<Vec<_>>()),
+    );
+    let sxy: f64 = logs.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = logs.iter().map(|&(x, _)| (x - mx) * (x - mx)).sum();
+    sxy / sxx
+}
+
 /// A committed `BENCH_*.json` baseline, read as text.  The binaries write
 /// one object per line, so `--check` scrapes lines instead of parsing JSON.
 pub struct Baseline {
@@ -227,6 +241,16 @@ mod tests {
         assert_eq!(percentile(&mut [4.0, 2.0, 3.0, 1.0], 50.0), 2.0);
         assert_eq!(percentile(&mut [4.0, 2.0, 3.0, 1.0], 99.0), 4.0);
         assert_eq!(mean(&[1.0, 2.0, 3.0, 4.0]), 2.5);
+    }
+
+    #[test]
+    fn loglog_slope_recovers_a_power_law_exponent() {
+        let cubic: Vec<(f64, f64)> = [80.0, 200.0, 500.0]
+            .iter()
+            .map(|&n: &f64| (n, 0.5 * n.powi(3)))
+            .collect();
+        assert!((loglog_slope(&cubic) - 3.0).abs() < 1e-9);
+        assert!(loglog_slope(&[(10.0, 4.0), (20.0, 4.0)]).abs() < 1e-12);
     }
 
     #[test]

@@ -133,13 +133,18 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
         .skip(1)
         .flat_map(|(i, s)| s.circuit_gates.iter().map(move |g| (i, *g)))
         .collect();
-    // Pending SWAPs, tagged with their stage index, in stage order.
+    // Pending SWAPs, tagged with their stage index, in stage order.  A stage
+    // holds at most one SWAP, so the stages are strictly increasing.
     let mut pending_swaps: Vec<(usize, crate::routing::SwapAction)> = routed
         .stages
         .iter()
         .enumerate()
         .filter_map(|(i, s)| s.swap.clone().map(|sw| (i, sw)))
         .collect();
+    debug_assert!(
+        pending_swaps.windows(2).all(|w| w[0].0 < w[1].0),
+        "pending SWAPs must be strictly increasing by stage"
+    );
 
     let mut current_map: QubitMap = routed.final_map().clone();
     let mut cycles: Vec<Vec<Gate>> = Vec::new();
@@ -177,23 +182,26 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
             }
         }
 
-        // SWAPs: processed in decreasing stage order; strict reverse stage
-        // order is enforced among overlapping SWAPs, and a SWAP waits until
-        // every pending gate that depends on it has been scheduled in an
-        // *earlier* cycle (gates placed this cycle still count as blocking).
+        // SWAPs leave in strict reverse stage order: only the highest-stage
+        // pending SWAP can be placed, so the scan walks down from the top of
+        // `pending_swaps` and the first SWAP that cannot be placed ends it
+        // (every lower one would still have a later SWAP pending).  A SWAP
+        // is placed once its physical qubits are free this cycle and every
+        // gate that depends on it has been scheduled in an *earlier* cycle
+        // (gates placed this cycle still count as blocking).
         let mut s = pending_swaps.len();
         while s > 0 {
             s -= 1;
             let (stage, ref swap) = pending_swaps[s];
             // All later-stage SWAPs must already be gone (scheduled earlier
-            // or in this cycle).
-            let later_pending = pending_swaps.iter().any(|(other, _)| *other > stage);
+            // or in this cycle); they sit above index `s`.
+            let later_pending = s + 1 < pending_swaps.len();
             if later_pending {
-                continue;
+                break;
             }
             let (pa, pb) = swap.physical;
             if busy[pa] || busy[pb] {
-                continue;
+                break;
             }
             // Dependent circuit gates: gates from later stages acting on the
             // logical qubits this SWAP moves.
@@ -202,7 +210,7 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
                 *gstage > stage && moved.iter().flatten().any(|&l| g.acts_on(l))
             };
             if pending_gates.iter().any(blocks) || placed_this_cycle.iter().any(blocks) {
-                continue;
+                break;
             }
             busy[pa] = true;
             busy[pb] = true;
@@ -324,6 +332,182 @@ mod tests {
             plain_swaps,
             routed.swap_count() - routed.dressed_swap_count()
         );
+    }
+
+    /// The ALAP pass as it stood before the SWAP scan learned to stop at
+    /// the first SWAP that cannot be placed: it re-scans every pending SWAP
+    /// in every cycle, with an O(swaps) look-ahead per SWAP.  Kept verbatim
+    /// as the oracle [`alap_cycles`] must match cycle for cycle.
+    fn alap_cycles_reference(
+        routed: &RoutedCircuit,
+        device: &twoqan_device::Device,
+    ) -> Vec<Vec<Gate>> {
+        // Pending circuit gates from stages ≥ 1, tagged with their stage index.
+        let mut pending_gates: Vec<(usize, Gate)> = routed
+            .stages
+            .iter()
+            .enumerate()
+            .skip(1)
+            .flat_map(|(i, s)| s.circuit_gates.iter().map(move |g| (i, *g)))
+            .collect();
+        // Pending SWAPs, tagged with their stage index, in stage order.
+        let mut pending_swaps: Vec<(usize, crate::routing::SwapAction)> = routed
+            .stages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.swap.clone().map(|sw| (i, sw)))
+            .collect();
+
+        let mut current_map: QubitMap = routed.final_map().clone();
+        let mut cycles: Vec<Vec<Gate>> = Vec::new();
+        // Gates placed in the cycle currently under construction.  Together with
+        // the still-pending gates these are exactly the gates that were pending
+        // when the cycle began, so SWAP dependency checks scan the two worklists
+        // instead of cloning a per-cycle snapshot (the former made the pass
+        // O(stages²) in allocations on swap-heavy circuits).
+        let mut placed_this_cycle: Vec<(usize, Gate)> = Vec::new();
+
+        while !pending_gates.is_empty() || !pending_swaps.is_empty() {
+            let mut cycle: Vec<Gate> = Vec::new();
+            let mut busy = vec![false; routed.num_physical];
+            let mut swaps_to_roll_back: Vec<(usize, usize)> = Vec::new();
+            placed_this_cycle.clear();
+
+            // Circuit gates: schedulable wherever their logical qubits are
+            // adjacent under the current map and the physical qubits are free.
+            let mut i = 0;
+            while i < pending_gates.len() {
+                let (stage, gate) = pending_gates[i];
+                let (pa, pb) = (
+                    current_map.physical(gate.qubit0()),
+                    current_map.physical(gate.qubit1()),
+                );
+                let adjacent = device.are_adjacent(pa, pb);
+                if adjacent && !busy[pa] && !busy[pb] {
+                    busy[pa] = true;
+                    busy[pb] = true;
+                    cycle.push(Gate::two(gate.kind, pa, pb));
+                    placed_this_cycle.push((stage, gate));
+                    pending_gates.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+
+            // SWAPs: processed in decreasing stage order; strict reverse stage
+            // order is enforced among overlapping SWAPs, and a SWAP waits until
+            // every pending gate that depends on it has been scheduled in an
+            // *earlier* cycle (gates placed this cycle still count as blocking).
+            let mut s = pending_swaps.len();
+            while s > 0 {
+                s -= 1;
+                let (stage, ref swap) = pending_swaps[s];
+                // All later-stage SWAPs must already be gone (scheduled earlier
+                // or in this cycle).
+                let later_pending = pending_swaps.iter().any(|(other, _)| *other > stage);
+                if later_pending {
+                    continue;
+                }
+                let (pa, pb) = swap.physical;
+                if busy[pa] || busy[pb] {
+                    continue;
+                }
+                // Dependent circuit gates: gates from later stages acting on the
+                // logical qubits this SWAP moves.
+                let moved = [swap.logical.0, swap.logical.1];
+                let blocks = |(gstage, g): &(usize, Gate)| {
+                    *gstage > stage && moved.iter().flatten().any(|&l| g.acts_on(l))
+                };
+                if pending_gates.iter().any(blocks) || placed_this_cycle.iter().any(blocks) {
+                    continue;
+                }
+                busy[pa] = true;
+                busy[pb] = true;
+                let (_, swap) = pending_swaps.remove(s);
+                cycle.push(swap.physical_gate());
+                swaps_to_roll_back.push((pa, pb));
+            }
+
+            if cycle.is_empty() {
+                // Defensive fallback (unreachable for router-produced inputs):
+                // flush everything in stage order to guarantee termination.
+                for (_, g) in pending_gates.drain(..) {
+                    let (pa, pb) = (
+                        current_map.physical(g.qubit0()),
+                        current_map.physical(g.qubit1()),
+                    );
+                    cycle.push(Gate::two(g.kind, pa, pb));
+                }
+                for (_, sw) in pending_swaps.drain(..) {
+                    cycle.push(sw.physical_gate());
+                }
+                cycles.push(cycle);
+                break;
+            }
+
+            // Roll the working map back across the SWAPs scheduled this cycle
+            // (they are pairwise disjoint, so the order does not matter).
+            for (pa, pb) in swaps_to_roll_back {
+                current_map.apply_physical_swap(pa, pb);
+            }
+            cycles.push(cycle);
+        }
+
+        cycles
+    }
+
+    /// Routes QAOA-REG-3 and NNN-Heisenberg circuits of every size in
+    /// `sizes` on `device`, one instance per seed, and checks that
+    /// [`alap_cycles`] and [`alap_cycles_reference`] build the same cycles.
+    /// Returns the number of routed SWAPs the comparison covered.
+    fn assert_alap_matches_reference(device: &Device, sizes: &[usize], seeds: &[u64]) -> usize {
+        let mut swaps = 0;
+        for &n in sizes {
+            for &seed in seeds {
+                let qaoa = QaoaProblem::random_regular(n, 3, seed)
+                    .circuit(&[(0.6, 0.4)], false)
+                    .unify_same_pair_gates();
+                let heisenberg = trotter_step(&nnn_heisenberg(n, seed), 1.0);
+                for (family, circuit) in [("QAOA-REG-3", qaoa), ("NNN-Heisenberg", heisenberg)] {
+                    let routed = route_circuit(&circuit, device, seed);
+                    swaps += routed.swap_count();
+                    assert_eq!(
+                        alap_cycles(&routed, device),
+                        alap_cycles_reference(&routed, device),
+                        "{family} n={n} seed={seed} on {}",
+                        device.name()
+                    );
+                }
+            }
+        }
+        swaps
+    }
+
+    #[test]
+    fn alap_cycles_match_the_reference_up_to_200_qubits() {
+        let seeds = [1, 2, 3];
+        let mut swaps = 0;
+        swaps += assert_alap_matches_reference(&Device::montreal(), &[10, 20, 26], &seeds);
+        swaps += assert_alap_matches_reference(&Device::aspen(), &[8, 16], &seeds);
+        let grid = |side| Device::grid(side, side, TwoQubitBasis::Cnot);
+        swaps += assert_alap_matches_reference(&grid(6), &[36], &seeds);
+        swaps += assert_alap_matches_reference(&grid(9), &[80], &seeds);
+        swaps += assert_alap_matches_reference(&grid(15), &[200], &seeds[..1]);
+        assert!(
+            swaps > 1000,
+            "the inputs must exercise the SWAP scan ({swaps} SWAPs)"
+        );
+    }
+
+    /// The reference pass is cubic and unit tests build unoptimised, so the
+    /// large sizes run on request: `cargo test --release -p twoqan -- --ignored alap`.
+    #[test]
+    #[ignore = "minutes unoptimised; run with --release -- --ignored"]
+    fn alap_cycles_match_the_reference_at_300_and_400_qubits() {
+        for (side, n) in [(18, 300), (20, 400)] {
+            let grid = Device::grid(side, side, TwoQubitBasis::Cnot);
+            assert_alap_matches_reference(&grid, &[n], &[1, 2]);
+        }
     }
 
     #[test]
