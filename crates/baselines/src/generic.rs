@@ -109,10 +109,16 @@ impl Compiler for GenericCompiler {
 
     fn cache_fingerprint(&self, h: &mut twoqan::hash::ContentHasher) {
         // A custom `GenericConfig` may reuse a display name with different
-        // placement/look-ahead knobs, so hash the whole configuration.
-        h.write_str(self.config.name);
-        h.write_u8(self.config.line_placement.into());
-        h.write_usize(self.config.lookahead);
+        // placement/look-ahead knobs, so hash the whole configuration.  No
+        // `..`: a new field fails to compile here until it is hashed.
+        let GenericConfig {
+            line_placement,
+            lookahead,
+            name,
+        } = self.config;
+        h.write_str(name);
+        h.write_u8(line_placement.into());
+        h.write_usize(lookahead);
     }
 }
 

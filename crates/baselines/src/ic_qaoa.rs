@@ -66,9 +66,11 @@ impl Compiler for IcQaoaCompiler {
 
     fn cache_fingerprint(&self, h: &mut twoqan::hash::ContentHasher) {
         // The annealing placement draws from a seeded RNG, so the seed is
-        // part of the compiler's identity for caching purposes.
+        // part of the compiler's identity for caching purposes.  No `..`: a
+        // new field fails to compile here until it is hashed.
+        let IcQaoaCompiler { seed } = *self;
         h.write_str(Compiler::name(self));
-        h.write_u64(self.seed);
+        h.write_u64(seed);
     }
 }
 

@@ -21,6 +21,7 @@
 //!     [--clients N] [--out PATH]
 //! cargo run --release -p twoqan-bench --bin bench_service -- --check PATH \
 //!     [--tolerance PCT]
+//! cargo run --release -p twoqan-bench --bin bench_service -- --keys [--smoke]
 //! ```
 //!
 //! Defaults: 2000 requests, zipf exponent 1.1, seed 42, output to
@@ -31,18 +32,26 @@
 //! cold-compile (miss) p50 over the population and fails if it regressed
 //! more than `--tolerance` percent (default 50) against the committed
 //! baseline at PATH; when the baseline carries a `"contended"` entry it also
-//! re-measures the contended p99 against the same tolerance.  See
-//! `BENCHMARKS.md` for the output schema.
+//! re-measures the contended p99 against the same tolerance.  `--keys`
+//! prints the host block and the median cost of the two key derivations
+//! (`cache_key`, `stable_key`) in µs on QAOA-REG-3 at n = 20/80/200 with
+//! the `2QAN-noise` config on the heterogeneous `scaling_device(n)`; it
+//! has no gate (`--smoke` takes fewer samples).  See `BENCHMARKS.md` for
+//! the output schema.
 
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 use twoqan_baselines::CompilerRegistry;
-use twoqan_bench::harness::{any, emit, gate, percentile, Args, Baseline};
+use twoqan_bench::harness::{any, emit, gate, host_json, median_ms, percentile, Args, Baseline};
+use twoqan_bench::{scaling_device, Workload, WorkloadKind};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
-use twoqan_service::{bit_identical, CompileService, ServiceConfig, StatsSnapshot};
+use twoqan_service::{
+    bit_identical, cache_key, stable_key, CompileService, ServiceConfig, StatsSnapshot,
+};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -549,6 +558,32 @@ fn run_check(baseline_path: &str, tolerance_pct: f64) {
     gate(&label, p99, committed_p99, tolerance_pct);
 }
 
+/// `--keys`: prints the host block, then one line per size with the median
+/// µs of `cache_key` and `stable_key` — what every request and every
+/// recompile hashes.  The device digests are memoised after the warm-up
+/// call, as they are for a service's repeat traffic.
+fn run_keys(smoke: bool) {
+    println!("{}", host_json());
+    let compiler = CompilerRegistry::by_name("2QAN-noise").expect("a registered config");
+    let calls = if smoke { 50 } else { 2000 };
+    for n in [20, 80, 200] {
+        let circuit = Workload::generate(WorkloadKind::QaoaRegular(3), n, 0).circuit;
+        let device = scaling_device(n).with_heterogeneous_calibration(7);
+        let us = |key: fn(&dyn twoqan::pipeline::Compiler, &Circuit, &Device) -> u128| {
+            median_ms(calls, || {
+                black_box(key(compiler.as_ref(), &circuit, &device));
+            }) * 1e3
+        };
+        println!(
+            "{{\"keys\": {{\"family\": \"QAOA-REG-3\", \"n\": {n}, \"gates\": {}, \
+             \"cache_key_us\": {:.2}, \"stable_key_us\": {:.2}}}}}",
+            circuit.gates().len(),
+            us(cache_key),
+            us(stable_key)
+        );
+    }
+}
+
 /// The command line; see the module docs.
 struct Options {
     requests: usize,
@@ -559,6 +594,7 @@ struct Options {
     smoke: bool,
     check: Option<String>,
     tolerance_pct: f64,
+    keys: bool,
 }
 
 fn options(args: &mut Args) -> Result<Options, String> {
@@ -576,6 +612,7 @@ fn options(args: &mut Args) -> Result<Options, String> {
         smoke,
         check: args.value("--check", "the committed baseline path", any)?,
         tolerance_pct: tolerance_pct.unwrap_or(50.0),
+        keys: args.flag("--keys"),
     })
 }
 
@@ -584,6 +621,10 @@ fn main() {
     let (requests, zipf_s, seed, smoke) = (opts.requests, opts.zipf_s, opts.seed, opts.smoke);
     if let Some(baseline) = opts.check {
         run_check(&baseline, opts.tolerance_pct);
+        return;
+    }
+    if opts.keys {
+        run_keys(smoke);
         return;
     }
 

@@ -198,6 +198,22 @@ pub fn gate(label: &str, measured: f64, committed: f64, tolerance_pct: f64) {
     }
 }
 
+/// The host block, `{"host": {"cores": N, "cpu_model": "..."}}`, so a
+/// printed number records the machine that produced it.
+pub fn host_json() -> String {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{{\"host\": {{\"cores\": {cores}, \"cpu_model\": \"{cpu_model}\"}}}}")
+}
+
 /// Writes `json` to `out`, prints it, then prints `wrote {out}`.
 pub fn emit(out: &str, json: &str) {
     std::fs::write(out, json).unwrap_or_else(|e| panic!("writing {out}: {e}"));

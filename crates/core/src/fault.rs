@@ -222,9 +222,15 @@ impl Compiler for ChaosCompiler {
         // Chaos compiles are deliberately nondeterministic (the injector is
         // stateful), so keep the fingerprint distinct from the wrapped
         // compiler's: a content-addressed cache must never serve a chaos
-        // result for the real compiler or vice versa.
+        // result for the real compiler or vice versa.  No `..`: a new field
+        // fails to compile here until it is hashed or given a reason to
+        // stay out.
+        let ChaosCompiler {
+            inner,
+            injector: _, // stateful: the "chaos" tag already parts its keys
+        } = self;
         h.write_str("chaos");
-        self.inner.cache_fingerprint(h);
+        inner.cache_fingerprint(h);
     }
 }
 

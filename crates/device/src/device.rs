@@ -8,40 +8,34 @@ use crate::target::Target;
 use crate::topologies;
 use std::sync::OnceLock;
 use twoqan_graphs::{DistanceMatrix, Graph, WeightedDistanceMatrix};
+use twoqan_math::hash::{ContentHasher, Digest};
 
-/// The device's lazily computed all-pairs distance matrices: the hop-count
-/// matrix (one BFS per vertex) and the calibration-weighted matrix (one
-/// Dijkstra per vertex over −log-fidelity edge weights).  Both flavours
-/// share the single [`DistanceCaches::cached`] code path, so "compute once
-/// on first use, serve the cached reference afterwards" is written exactly
-/// once.
+/// Everything the device derives lazily from its fields, each computed on
+/// first use and served from the memo afterwards: the all-pairs distance
+/// matrices — hop-count (one BFS per vertex) and calibration-weighted (one
+/// Dijkstra per vertex over −log-fidelity edge weights) — and the two
+/// content digests the compile-cache keys are built from.  Every `with_*`
+/// constructor resets exactly the entries its change makes stale.
 #[derive(Debug, Clone, Default)]
-struct DistanceCaches {
+struct Memo {
     hop: OnceLock<DistanceMatrix>,
     weighted: OnceLock<WeightedDistanceMatrix>,
+    topology_digest: OnceLock<Digest>,
+    digest: OnceLock<Digest>,
 }
 
-impl DistanceCaches {
-    /// The one lazily-cached code path both matrix flavours go through.
-    #[inline]
-    fn cached<T>(slot: &OnceLock<T>, build: impl FnOnce() -> T) -> &T {
-        slot.get_or_init(build)
-    }
-
-    fn hop(&self, topology: &Graph) -> &DistanceMatrix {
-        Self::cached(&self.hop, || DistanceMatrix::bfs(topology))
-    }
-
-    fn weighted(&self, topology: &Graph, target: &Target) -> &WeightedDistanceMatrix {
-        Self::cached(&self.weighted, || {
-            WeightedDistanceMatrix::dijkstra(topology, &|a, b| target.edge_weight(a, b))
-        })
-    }
-
-    /// Drops the calibration-weighted matrix (called whenever the target
-    /// changes); the hop matrix only depends on the topology and survives.
-    fn invalidate_weighted(&mut self) {
+impl Memo {
+    /// Drops what depends on the calibration target (called whenever the
+    /// target changes); the hop matrix and the topology digest survive.
+    fn invalidate_target(&mut self) {
         self.weighted = OnceLock::new();
+        self.digest = OnceLock::new();
+    }
+
+    /// Drops the digests (called whenever the gate set changes).
+    fn invalidate_gate_set(&mut self) {
+        self.topology_digest = OnceLock::new();
+        self.digest = OnceLock::new();
     }
 }
 
@@ -62,9 +56,8 @@ impl DistanceCaches {
 pub struct Device {
     name: String,
     topology: Graph,
-    /// Lazily computed hop-count and calibration-weighted distance
-    /// matrices, cached for the lifetime of the device.
-    distances: DistanceCaches,
+    /// Lazily computed distance matrices and content digests.
+    memo: Memo,
     gate_set: GateSet,
     calibration: Calibration,
     /// Per-qubit / per-edge calibration; a uniform replication of
@@ -92,7 +85,7 @@ impl Device {
         Ok(Self {
             name,
             topology,
-            distances: DistanceCaches::default(),
+            memo: Memo::default(),
             gate_set,
             calibration,
             target,
@@ -204,6 +197,7 @@ impl Device {
                 .chain(self.gate_set.bases.iter().copied().filter(|&b| b != basis))
                 .collect(),
         };
+        d.memo.invalidate_gate_set();
         d
     }
 
@@ -215,7 +209,7 @@ impl Device {
         let mut d = self.clone();
         d.calibration = calibration;
         d.target = Target::uniform(&d.topology, &calibration);
-        d.distances.invalidate_weighted();
+        d.memo.invalidate_target();
         Ok(d)
     }
 
@@ -244,7 +238,7 @@ impl Device {
         target.validate()?;
         let mut d = self.clone();
         d.target = target;
-        d.distances.invalidate_weighted();
+        d.memo.invalidate_target();
         Ok(d)
     }
 
@@ -288,7 +282,9 @@ impl Device {
     /// The all-pairs hardware distance matrix (computed on first use with
     /// one BFS per vertex, then cached for the lifetime of the device).
     pub fn distances(&self) -> &DistanceMatrix {
-        self.distances.hop(&self.topology)
+        self.memo
+            .hop
+            .get_or_init(|| DistanceMatrix::bfs(&self.topology))
     }
 
     /// The calibration-weighted all-pairs distance matrix: shortest paths
@@ -296,7 +292,83 @@ impl Device {
     /// first use with one Dijkstra per vertex, then cached).  On a uniform
     /// target this equals [`Device::distances`] exactly, entry for entry.
     pub fn weighted_distances(&self) -> &WeightedDistanceMatrix {
-        self.distances.weighted(&self.topology, &self.target)
+        self.memo.weighted.get_or_init(|| {
+            WeightedDistanceMatrix::dijkstra(&self.topology, &|a, b| self.target.edge_weight(a, b))
+        })
+    }
+
+    /// The content digest of the calibration-*independent* part of the
+    /// device: qubit count, canonical sorted edge list and native gate set
+    /// in declared order (the first basis is the default decomposition
+    /// target, so order matters).  The display name is excluded — two
+    /// identically shaped devices compile identically.  Calibration drift
+    /// leaves it unchanged, which makes it the device part of the service's
+    /// drift-stable key.  Computed on first use, then memoised.
+    pub fn topology_digest(&self) -> Digest {
+        *self.memo.topology_digest.get_or_init(|| {
+            let mut h = ContentHasher::new();
+            h.write_usize(self.num_qubits());
+            let mut edges: Vec<(usize, usize)> = self
+                .topology
+                .edges()
+                .into_iter()
+                .map(|(a, b)| (a.min(b), a.max(b)))
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            h.write_usize(edges.len());
+            for (a, b) in edges {
+                h.write_usize(a);
+                h.write_usize(b);
+            }
+            h.write_usize(self.gate_set.bases.len());
+            for &basis in &self.gate_set.bases {
+                h.write_u8(basis_tag(basis));
+            }
+            h.digest()
+        })
+    }
+
+    /// The content digest of everything a compile reads from the device:
+    /// the [`Device::topology_digest`] followed by the complete per-edge /
+    /// per-qubit calibration snapshot, so any single drifted value — one
+    /// edge error, one readout figure — moves it.  Computed on first use,
+    /// then memoised.
+    pub fn digest(&self) -> Digest {
+        *self.memo.digest.get_or_init(|| {
+            let mut h = ContentHasher::new();
+            h.write_digest(self.topology_digest());
+            let target = &self.target;
+            let edges = target.edges();
+            h.write_usize(edges.len());
+            for &(a, b) in edges {
+                h.write_usize(a);
+                h.write_usize(b);
+                h.write_f64(target.two_qubit_error(a, b));
+                h.write_f64(target.two_qubit_duration_ns(a, b));
+            }
+            let n = target.num_qubits();
+            h.write_usize(n);
+            for q in 0..n {
+                h.write_f64(target.single_qubit_error(q));
+                h.write_f64(target.single_qubit_duration_ns(q));
+                h.write_f64(target.readout_error(q));
+                h.write_f64(target.t1_us(q));
+                h.write_f64(target.t2_us(q));
+            }
+            let avg = target.average();
+            h.write_f64_slice(&[
+                avg.two_qubit_error,
+                avg.two_qubit_gate_ns,
+                avg.single_qubit_error,
+                avg.single_qubit_gate_ns,
+                avg.readout_error,
+                avg.t1_us,
+                avg.t2_us,
+            ]);
+            h.write_u8(target.is_uniform().into());
+            h.digest()
+        })
     }
 
     /// Distance between two hardware qubits.
@@ -334,6 +406,18 @@ impl Device {
     /// The per-qubit / per-edge calibration target.
     pub fn target(&self) -> &Target {
         &self.target
+    }
+}
+
+/// The stable byte tag of a basis in [`Device::topology_digest`].  The tags
+/// are part of the cache-key format: renumbering them moves every key
+/// (which is safe — at worst one cold compile per entry).
+fn basis_tag(basis: TwoQubitBasis) -> u8 {
+    match basis {
+        TwoQubitBasis::Cnot => 0,
+        TwoQubitBasis::Cz => 1,
+        TwoQubitBasis::Syc => 2,
+        TwoQubitBasis::ISwap => 3,
     }
 }
 
@@ -536,5 +620,71 @@ mod tests {
             GateSet::single(TwoQubitBasis::Cnot),
             Calibration::noiseless(),
         );
+    }
+
+    /// The device's digests with the memo emptied first: what a device
+    /// built directly from the same fields would compute.
+    fn fresh_digests(device: &Device) -> (Digest, Digest) {
+        let mut fresh = device.clone();
+        fresh.memo = Memo::default();
+        (fresh.topology_digest(), fresh.digest())
+    }
+
+    #[test]
+    fn memoised_digests_match_fresh_ones_after_every_constructor() {
+        let base = Device::sycamore();
+        // Fill the memo before deriving, so stale entries would be copied.
+        let base_digests = (base.topology_digest(), base.digest());
+        assert_eq!(base_digests, fresh_digests(&base));
+        let het_target = Target::heterogeneous(base.topology(), base.calibration(), 5);
+        let derived = [
+            ("with_basis", base.with_basis(TwoQubitBasis::Cz)),
+            (
+                "with_calibration",
+                base.with_calibration(Calibration::noiseless()),
+            ),
+            ("with_target", base.with_target(het_target)),
+            (
+                "with_heterogeneous_calibration",
+                base.with_heterogeneous_calibration(9),
+            ),
+            ("clone", base.clone()),
+        ];
+        for (how, device) in &derived {
+            let memoised = (device.topology_digest(), device.digest());
+            assert_eq!(memoised, fresh_digests(device), "{how}");
+            // A second read serves the memo.
+            assert_eq!(memoised, (device.topology_digest(), device.digest()));
+            let moved = memoised != base_digests;
+            assert_eq!(moved, *how != "clone", "{how} must move the digest");
+        }
+    }
+
+    #[test]
+    fn drift_moves_only_the_full_digest_and_gate_order_moves_both() {
+        let base = Device::montreal().with_heterogeneous_calibration(3);
+        let drifted_target = base
+            .target()
+            .with_two_qubit_error_on(0, 1, base.target().two_qubit_error(0, 1) * 1.01)
+            .unwrap();
+        let drifted = base.with_target(drifted_target);
+        assert_eq!(drifted.topology_digest(), base.topology_digest());
+        assert_ne!(drifted.digest(), base.digest());
+        // Same bases, different declared order: the default decomposition
+        // target changes, so both digests move.
+        let syc = Device::sycamore();
+        let reordered = syc.with_basis(TwoQubitBasis::Cz);
+        assert_eq!(reordered.gate_set().bases.len(), syc.gate_set().bases.len());
+        assert_ne!(reordered.topology_digest(), syc.topology_digest());
+        assert_ne!(reordered.digest(), syc.digest());
+        // The display name stays out: identical shapes share digests.
+        let grid = Device::grid(3, 3, TwoQubitBasis::Cnot);
+        let renamed = Device::from_topology(
+            "renamed",
+            Graph::grid(3, 3),
+            GateSet::single(TwoQubitBasis::Cnot),
+            Calibration::default(),
+        );
+        assert_eq!(grid.digest(), renamed.digest());
     }
 }

@@ -18,7 +18,8 @@
 //! * [`cost`] — per-basis two-qubit gate-cost models used by the gate
 //!   decomposition pass and the benchmark harness,
 //! * [`synthesis`] — explicit CNOT/CZ-basis synthesis of canonical gates
-//!   (the identities of Fig. 5 in the paper).
+//!   (the identities of Fig. 5 in the paper),
+//! * [`hash`] — the stable content hasher behind the compile-cache keys.
 //!
 //! # Example
 //!
@@ -37,6 +38,7 @@
 pub mod complex;
 pub mod cost;
 pub mod gates;
+pub mod hash;
 pub mod matrix;
 pub mod pauli;
 pub mod synthesis;

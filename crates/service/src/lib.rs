@@ -80,9 +80,20 @@
 //! `request`, `recompile` and `request_batch` share one front half (count,
 //! resolve the compiler, hash, probe the cache), one admission, one leader
 //! path and one follower path; a batch only runs its leaders side by side
-//! on the pool.  The key format ([`cache_key`], [`stable_key`], the device
-//! fingerprint) lives in `key.rs`, and the bounded LRU map behind both the
-//! cache shards and the placement index in `lru.rs`.
+//! on the pool.  The key format ([`cache_key`], [`stable_key`]) lives in
+//! `key.rs`, and the bounded LRU map behind both the cache shards and the
+//! placement index in `lru.rs`.  The probe hashes the circuit once; the
+//! cache key, the drift-stable key and the warm key all reuse that digest,
+//! and the device digests are memoised inside the [`Device`].
+//!
+//! # Verified hits
+//!
+//! Every key carries an independent 64-bit check digest beside its 128-bit
+//! key.  Cache entries, in-flight compiles and placement records store the
+//! check, and every lookup compares it: an entry whose check disagrees was
+//! stored for different content under a colliding key.  It is never served —
+//! the request proceeds as a miss — and the lookup is counted in
+//! [`StatsSnapshot::check_mismatches`].
 //!
 //! [`Target`]: twoqan_device::Target
 
@@ -102,9 +113,10 @@ use twoqan_device::Device;
 mod key;
 mod lru;
 
-use key::device_fingerprint;
 pub use key::{cache_key, stable_key};
+use key::{circuit_digest, KeyPrefix};
 use lru::Lru;
+use twoqan::hash::Digest;
 
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,6 +294,11 @@ pub struct StatsSnapshot {
     pub invalidations: u64,
     /// Cached artifacts dropped by those invalidation calls.
     pub invalidated_entries: u64,
+    /// Lookups — cache entries, in-flight compiles, placement records — that
+    /// found an entry under the requested 128-bit key whose 64-bit check
+    /// digest disagreed: a key collision.  The colliding entry is never
+    /// served; the request proceeds as a miss.
+    pub check_mismatches: u64,
 }
 
 impl StatsSnapshot {
@@ -324,6 +341,7 @@ struct Stats {
     cold_compile_us: AtomicU64,
     invalidations: AtomicU64,
     invalidated_entries: AtomicU64,
+    check_mismatches: AtomicU64,
 }
 
 impl Stats {
@@ -352,6 +370,7 @@ impl Stats {
             cold_compile_us: self.cold_compile_us.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             invalidated_entries: self.invalidated_entries.load(Ordering::Relaxed),
+            check_mismatches: self.check_mismatches.load(Ordering::Relaxed),
         }
     }
 }
@@ -359,9 +378,11 @@ impl Stats {
 /// A cached artifact.
 struct Entry {
     output: Arc<CompiledOutput>,
-    /// Hash of the (device, target) snapshot the artifact was compiled
+    /// The check digest of the key the artifact was stored under.
+    check: u64,
+    /// Digest of the (device, target) snapshot the artifact was compiled
     /// against, for eager [`CompileService::invalidate_device`].
-    device_fingerprint: u128,
+    device: Digest,
 }
 
 /// What [`CompileService::recompile`] remembers about the last successful
@@ -370,8 +391,10 @@ struct Entry {
 /// initial placement that seeds a warm recompile after the snapshot drifts.
 #[derive(Clone)]
 struct PlacementRecord {
-    device_fingerprint: u128,
-    artifact_key: u128,
+    /// The check digest of the drift-stable key the record is stored under.
+    stable_check: u64,
+    device: Digest,
+    artifact: Digest,
     placement: Vec<usize>,
 }
 
@@ -383,13 +406,15 @@ type Answer = Result<ServiceResponse, ServiceError>;
 type Timed = (Result<CompiledOutput, CompileError>, f64, f64);
 
 /// A request the cache probe of [`CompileService::probe`] could not answer:
-/// its registered compiler, its operands and cache key, and the bookkeeping
-/// every response reports.
+/// its registered compiler, its operands, its circuit digest, key prefix
+/// and cache key, and the bookkeeping every response reports.
 struct Pending<'a> {
     compiler: &'a dyn Compiler,
     circuit: &'a Circuit,
     device: &'a Device,
-    key: u128,
+    circuit_digest: Digest,
+    prefix: KeyPrefix,
+    key: Digest,
     arrival: Instant,
     queue_depth: usize,
 }
@@ -397,7 +422,7 @@ struct Pending<'a> {
 impl Pending<'_> {
     /// A response serving `output` under `key`, timed like a hit — the
     /// whole wall clock is queue wait — until the caller overrides fields.
-    fn respond(&self, output: Arc<CompiledOutput>, key: u128, warm: bool) -> ServiceResponse {
+    fn respond(&self, output: Arc<CompiledOutput>, key: Digest, warm: bool) -> ServiceResponse {
         let wall_ms = ms_since(self.arrival);
         ServiceResponse {
             output,
@@ -405,7 +430,7 @@ impl Pending<'_> {
             coalesced: false,
             warm,
             cached: false,
-            key,
+            key: key.key,
             queue_wait_ms: wall_ms,
             coalesced_wait_ms: 0.0,
             compile_ms: 0.0,
@@ -419,15 +444,18 @@ impl Pending<'_> {
 /// followers park on.  `state` is `None` while the compile runs and becomes
 /// `Some(result)` exactly once; a shared `Arc` clone of the leader's output
 /// (or its typed error) is what every follower receives — bit-identical by
-/// construction.
+/// construction.  `check` is the check digest of the key being compiled:
+/// only requests whose check matches may follow.
 struct Flight {
+    check: u64,
     state: Mutex<Option<Result<Arc<CompiledOutput>, ServiceError>>>,
     done: Condvar,
 }
 
 impl Flight {
-    fn new() -> Arc<Self> {
+    fn new(check: u64) -> Arc<Self> {
         Arc::new(Self {
+            check,
             state: Mutex::new(None),
             done: Condvar::new(),
         })
@@ -456,7 +484,7 @@ enum Admission<'s> {
 /// way, so a later retry compiles fresh).
 struct FlightLease<'s> {
     service: &'s CompileService,
-    key: u128,
+    key: Digest,
     flight: Arc<Flight>,
     published: bool,
 }
@@ -465,7 +493,8 @@ impl FlightLease<'_> {
     /// Publishes the leader's result to all followers and clears the slot.
     fn publish(mut self, result: Result<Arc<CompiledOutput>, ServiceError>) {
         self.published = true;
-        self.service.finish_flight(self.key, &self.flight, result);
+        self.service
+            .finish_flight(self.key.key, &self.flight, result);
     }
 }
 
@@ -473,7 +502,7 @@ impl Drop for FlightLease<'_> {
     fn drop(&mut self) {
         if !self.published {
             self.service.finish_flight(
-                self.key,
+                self.key.key,
                 &self.flight,
                 Err(ServiceError::Compile(CompileError::Internal {
                     detail: "in-flight leader abandoned its compile".to_string(),
@@ -638,22 +667,23 @@ impl CompileService {
             Ok(pending) => pending,
             Err(answer) => return answer,
         };
-        let stable = stable_key(pending.compiler, circuit, device);
+        let stable = pending.prefix.stable(device);
         let record = self
             .placements
             .lock()
             .expect("placement index poisoned")
-            .touch(stable)
-            .cloned();
+            .touch(stable.key)
+            .cloned()
+            .filter(|record| self.verify(record.stable_check == stable.check));
         if let Some(record) = record {
             // Fast path for a repeat recompile against an unchanged
             // snapshot whose artifact is still cached under its own key.
-            if record.device_fingerprint == device_fingerprint(device) {
-                if let Some(output) = self.cached(record.artifact_key) {
+            if record.device == device.digest() {
+                if let Some(output) = self.cached(record.artifact) {
                     // A recorded artifact under a different key than the
                     // cold one was produced by a warm compile.
-                    let warm = record.artifact_key != pending.key;
-                    return Ok(self.hit(&pending, output, record.artifact_key, warm));
+                    let warm = record.artifact != pending.key;
+                    return Ok(self.hit(&pending, output, record.artifact, warm));
                 }
             }
             if let Some(warm_compiler) = pending.compiler.warm_clone(&record.placement) {
@@ -661,7 +691,8 @@ impl CompileService {
                 // fingerprint (which covers the seed), so plain `request`
                 // hits never observe warm-derived artifacts and repeated
                 // recompiles of the same drifted snapshot hit this key.
-                let warm_key = cache_key(warm_compiler.as_ref(), circuit, device);
+                let warm_key =
+                    KeyPrefix::new(warm_compiler.as_ref(), pending.circuit_digest).cache(device);
                 return self.serve_miss(&pending, warm_compiler.as_ref(), warm_key, true);
             }
         }
@@ -728,7 +759,7 @@ impl CompileService {
     /// reachable as soon as the device drifts — their keys no longer match —
     /// and age out via LRU.)
     pub fn invalidate_device(&self, device: &Device) -> usize {
-        let fingerprint = device_fingerprint(device);
+        let digest = device.digest();
         let dropped: usize = self
             .shards
             .iter()
@@ -736,7 +767,7 @@ impl CompileService {
                 shard
                     .lock()
                     .expect("cache shard poisoned")
-                    .retain(|e| e.device_fingerprint != fingerprint)
+                    .retain(|e| e.device != digest)
             })
             .sum();
         Stats::bump(&self.stats.invalidations);
@@ -762,7 +793,8 @@ impl CompileService {
     /// queue depth, resolves the compiler name and probes the cache under
     /// the request's key.  `Err` carries the finished answer (an unknown
     /// compiler or a hit); `Ok` a request that still needs serving.  The
-    /// drift-stable key is *not* computed here: the hit path never needs it.
+    /// circuit is hashed here, once; the drift-stable key is *not* computed
+    /// here: the hit path never needs it.
     fn probe<'a>(
         &'a self,
         name: &str,
@@ -778,11 +810,15 @@ impl CompileService {
                 name: name.to_string(),
             }));
         };
-        let key = cache_key(compiler, circuit, device);
+        let circuit_digest = circuit_digest(circuit);
+        let prefix = KeyPrefix::new(compiler, circuit_digest);
+        let key = prefix.cache(device);
         let pending = Pending {
             compiler,
             circuit,
             device,
+            circuit_digest,
+            prefix,
             key,
             arrival,
             queue_depth,
@@ -802,7 +838,7 @@ impl CompileService {
         &self,
         pending: &Pending<'_>,
         compiler: &dyn Compiler,
-        key: u128,
+        key: Digest,
         warm: bool,
     ) -> Answer {
         match self.admit(key)? {
@@ -820,7 +856,7 @@ impl CompileService {
         &self,
         pending: &Pending<'_>,
         output: Arc<CompiledOutput>,
-        key: u128,
+        key: Digest,
         warm: bool,
     ) -> ServiceResponse {
         Stats::bump(&self.stats.hits);
@@ -890,7 +926,7 @@ impl CompileService {
 
     /// Parks on another leader's flight and answers with its shared
     /// artifact (`coalesced: true`) or its typed error.
-    fn follow(&self, flight: &Flight, key: u128, warm: bool, pending: &Pending<'_>) -> Answer {
+    fn follow(&self, flight: &Flight, key: Digest, warm: bool, pending: &Pending<'_>) -> Answer {
         let queue_wait_ms = ms_since(pending.arrival);
         let wait_start = Instant::now();
         let result = self.wait_for_flight(flight);
@@ -927,31 +963,38 @@ impl CompileService {
     /// warm-start from it.  The stable key is the *registered* compiler's
     /// (not a warm clone's), so successive recompiles keep finding the
     /// freshest placement; compilers that report no placement record none.
-    fn maybe_cache(&self, key: u128, output: &Arc<CompiledOutput>, pending: &Pending<'_>) -> bool {
+    fn maybe_cache(
+        &self,
+        key: Digest,
+        output: &Arc<CompiledOutput>,
+        pending: &Pending<'_>,
+    ) -> bool {
         if output.report.rung != DegradationRung::Full {
             Stats::bump(&self.stats.uncacheable);
             return false;
         }
-        let device_fingerprint = device_fingerprint(pending.device);
-        let evicted = self.shard(key).insert(
-            key,
+        let device = pending.device.digest();
+        let evicted = self.shard(key.key).insert(
+            key.key,
             Entry {
                 output: Arc::clone(output),
-                device_fingerprint,
+                check: key.check,
+                device,
             },
         );
         Stats::bump(&self.stats.insertions);
         Stats::add(&self.stats.evictions, evicted);
         if !output.initial_placement.is_empty() {
-            let stable = stable_key(pending.compiler, pending.circuit, pending.device);
+            let stable = pending.prefix.stable(pending.device);
             self.placements
                 .lock()
                 .expect("placement index poisoned")
                 .insert(
-                    stable,
+                    stable.key,
                     PlacementRecord {
-                        device_fingerprint,
-                        artifact_key: key,
+                        stable_check: stable.check,
+                        device,
+                        artifact: key,
                         placement: output.initial_placement.clone(),
                     },
                 );
@@ -959,9 +1002,22 @@ impl CompileService {
         true
     }
 
-    /// The cached artifact under `key`, marked most recently used.
-    fn cached(&self, key: u128) -> Option<Arc<CompiledOutput>> {
-        self.shard(key).touch(key).map(|e| Arc::clone(&e.output))
+    /// The cached artifact under `key`, marked most recently used, if its
+    /// check digest matches (see [`CompileService::verify`]).
+    fn cached(&self, key: Digest) -> Option<Arc<CompiledOutput>> {
+        self.shard(key.key)
+            .touch(key.key)
+            .filter(|e| self.verify(e.check == key.check))
+            .map(|e| Arc::clone(&e.output))
+    }
+
+    /// Whether an entry found under a request's key passed the check-digest
+    /// comparison; a failure is a key collision and is counted.
+    fn verify(&self, checks_match: bool) -> bool {
+        if !checks_match {
+            Stats::bump(&self.stats.check_mismatches);
+        }
+        checks_match
     }
 
     fn shard(&self, key: u128) -> MutexGuard<'_, Lru<Entry>> {
@@ -974,12 +1030,18 @@ impl CompileService {
     /// Classifies a cache miss: follow an existing in-flight compile, serve
     /// the cache entry a just-finished leader landed (double-checked under
     /// the flight-shard lock), or become the key's leader — which requires
-    /// an admission token when [`ServiceConfig::max_in_flight`] is set.
-    fn admit(&self, key: u128) -> Result<Admission<'_>, ServiceError> {
-        let mut flights = self.flight_shard(key);
-        if let Some(flight) = flights.get(&key) {
-            return Ok(Admission::Follow(Arc::clone(flight)));
-        }
+    /// an admission token when [`ServiceConfig::max_in_flight`] is set.  A
+    /// flight under the key whose check disagrees is a colliding compile:
+    /// this leader then runs unregistered beside it, so no follower of
+    /// either can receive the other's artifact.
+    fn admit(&self, key: Digest) -> Result<Admission<'_>, ServiceError> {
+        let mut flights = self.flight_shard(key.key);
+        let occupied = match flights.get(&key.key) {
+            Some(flight) if self.verify(flight.check == key.check) => {
+                return Ok(Admission::Follow(Arc::clone(flight)));
+            }
+            other => other.is_some(),
+        };
         // Double-check the cache while holding the flight-shard lock: a
         // leader inserts into the cache *before* clearing its flight, so a
         // key absent from both maps genuinely needs a fresh compile.  (Lock
@@ -999,8 +1061,10 @@ impl CompileService {
             });
         }
         Stats::bump(&self.stats.misses);
-        let flight = Flight::new();
-        flights.insert(key, Arc::clone(&flight));
+        let flight = Flight::new(key.check);
+        if !occupied {
+            flights.insert(key.key, Arc::clone(&flight));
+        }
         Ok(Admission::Lead(FlightLease {
             service: self,
             key,
@@ -1263,5 +1327,110 @@ mod tests {
         let key = service.key_for("2QAN", &circuit, &device).unwrap();
         assert_eq!(service.request("2QAN", &circuit, &device).unwrap().key, key);
         assert!(service.key_for("nope", &circuit, &device).is_none());
+    }
+
+    /// Turns on the test-only colliding-key mode for the current thread
+    /// until dropped.
+    struct Colliding;
+
+    impl Colliding {
+        fn on() -> Self {
+            key::COLLIDE.set(true);
+            Self
+        }
+    }
+
+    impl Drop for Colliding {
+        fn drop(&mut self) {
+            key::COLLIDE.set(false);
+        }
+    }
+
+    #[test]
+    fn colliding_keys_are_caught_by_the_check_and_served_as_misses() {
+        let _colliding = Colliding::on();
+        let service = service();
+        let device = Device::montreal();
+        let a = trotter_step(&nnn_ising(8, 1), 1.0);
+        let b = trotter_step(&nnn_ising(7, 2), 1.0);
+        let compiler = service.compiler("2QAN").unwrap();
+        let (fresh_a, fresh_b) = (
+            compiler.compile(&a, &device).unwrap(),
+            compiler.compile(&b, &device).unwrap(),
+        );
+        let mismatches = || service.stats().check_mismatches;
+
+        let first_a = service.request("2QAN", &a, &device).unwrap();
+        assert!(!first_a.hit && first_a.cached);
+        assert_eq!(mismatches(), 0);
+        // Same 128-bit key, different content: the check catches it and `b`
+        // compiles instead of being served `a`'s artifact.
+        let first_b = service.request("2QAN", &b, &device).unwrap();
+        assert_eq!(first_b.key, first_a.key, "every key collides in this mode");
+        assert!(!first_b.hit);
+        assert!(bit_identical(&first_b.output, &fresh_b));
+        assert!(mismatches() > 0);
+        // `b` replaced `a` under the shared key: `b` now hits its own
+        // artifact, and `a` is a miss again.
+        let again_b = service.request("2QAN", &b, &device).unwrap();
+        assert!(again_b.hit && Arc::ptr_eq(&again_b.output, &first_b.output));
+        let before = mismatches();
+        let again_a = service.request("2QAN", &a, &device).unwrap();
+        assert!(!again_a.hit && bit_identical(&again_a.output, &fresh_a));
+        assert!(mismatches() > before);
+
+        // The placement index holds `a`'s record under the (colliding)
+        // stable key: `b`'s recompile must not warm-start from it.
+        let before = mismatches();
+        let recompiled = service.recompile("2QAN", &b, &device).unwrap();
+        assert!(!recompiled.hit && !recompiled.warm);
+        assert!(bit_identical(&recompiled.output, &fresh_b));
+        assert!(mismatches() > before);
+
+        // In flight: `b` must not follow `a`'s compile of the same key.
+        service.clear();
+        let batch = service.request_batch(&[&a, &b].map(|circuit| ServiceRequest {
+            compiler: "2QAN",
+            circuit,
+            device: &device,
+        }));
+        let (batch_a, batch_b) = (batch[0].as_ref().unwrap(), batch[1].as_ref().unwrap());
+        assert!(!batch_a.coalesced && !batch_b.coalesced);
+        assert!(bit_identical(&batch_a.output, &fresh_a));
+        assert!(bit_identical(&batch_b.output, &fresh_b));
+    }
+
+    #[test]
+    fn threads_racing_on_a_fresh_device_memo_derive_one_key() {
+        let circuit = trotter_step(&nnn_ising(8, 1), 1.0);
+        let compiler = twoqan::TwoQanCompiler::default();
+        let device = Device::montreal().with_heterogeneous_calibration(4);
+        let barrier = std::sync::Barrier::new(2);
+        let keys: Vec<u128> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (
+                            cache_key(&compiler, &circuit, &device),
+                            stable_key(&compiler, &circuit, &device),
+                        )
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .flat_map(|r| {
+                    let (cache, stable) = r.join().unwrap();
+                    [cache, stable]
+                })
+                .collect()
+        });
+        let rebuilt = Device::montreal().with_heterogeneous_calibration(4);
+        let expected = [
+            cache_key(&compiler, &circuit, &rebuilt),
+            stable_key(&compiler, &circuit, &rebuilt),
+        ];
+        assert_eq!(keys, [expected, expected].concat());
     }
 }
