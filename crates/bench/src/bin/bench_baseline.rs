@@ -31,9 +31,12 @@
 //! 1 sample, no n = 200 entry.
 //!
 //! `--kernels` instead microbenchmarks the QAP delta-table kernels (build /
-//! apply / neighbourhood scan, blocked + SIMD vs. the reference
-//! implementations kept in `twoqan_graphs::tabu`) and the dense 4×4
-//! statevector kernel (SIMD vs. scalar), writing `BENCH_kernels.json`.
+//! apply / neighbourhood scan on padded NNN-chain and QAOA-REG-3 mapping
+//! QAPs on Sycamore (m = 54) and 9×9 / 15×14 grids: block-sparse + SIMD vs.
+//! the dense kernels vs. the reference implementations, all behind
+//! `twoqan_graphs`' `reference` feature) and the dense 4×4 statevector
+//! kernel (SIMD vs. scalar), writing `BENCH_kernels.json`.  It fails if the
+//! block-sparse table ever differs from the dense one by a single bit.
 //!
 //! `--scaling` instead prints a Markdown table per family (QAOA-REG-3,
 //! NNN-Heisenberg): every pass's median ms of a one-trial 2QAN pipeline at
@@ -48,14 +51,16 @@
 use std::time::Instant;
 use twoqan::{BatchCompiler, BatchJob, Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
-use twoqan_bench::harness::{any, emit, gate, loglog_slope, median, median_ms, Args, Baseline};
+use twoqan_bench::harness::{
+    any, emit, gate, host_json, loglog_slope, median, median_ms, Args, Baseline,
+};
 use twoqan_bench::{scaling_device, Workload, WorkloadKind, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
 use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_graphs::tabu::{
     build_delta_table_reference, select_best_move, select_best_move_reference, DeltaTable,
 };
-use twoqan_graphs::{DistanceMatrix, Graph, QapProblem, SolverBudget};
+use twoqan_graphs::{random_regular_graph, DistanceMatrix, Graph, QapProblem, SolverBudget};
 use twoqan_ham::{nnn_heisenberg, trotter_step};
 use twoqan_math::{gates, Complex};
 use twoqan_sim::simd::{apply_general4, apply_general4_scalar};
@@ -251,137 +256,200 @@ fn measure_batch(sizes: &[usize], samples: usize, thread_counts: &[usize]) -> Ba
 // `--kernels`: QAP delta-table + statevector kernel microbenches.
 // ---------------------------------------------------------------------------
 
-/// A padded NNN-chain mapping QAP on an `rows × cols` grid device — the same
-/// shape the QAP-mapping pass solves (circuit qubits = device qubits − 1,
-/// the rest dummies).
-fn nnn_mapping_qap(rows: usize, cols: usize) -> QapProblem {
-    let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
+/// A padded mapping QAP on a device with distance matrix `hw`, the shape
+/// the QAP-mapping pass solves: `family` is `"nnn"` (an NNN chain over all
+/// but one device qubit) or `"qaoa3"` (a random 3-regular graph over all but
+/// one or two, so the qubit count is even); the rest are dummies.
+fn mapping_qap(family: &str, hw: &DistanceMatrix) -> QapProblem {
     let m = hw.num_vertices();
-    let circuit_qubits = m - 1;
-    let mut interactions = Vec::new();
-    for i in 0..circuit_qubits {
-        if i + 1 < circuit_qubits {
-            interactions.push((i, i + 1));
+    let interactions: Vec<(usize, usize)> = match family {
+        "nnn" => {
+            let n = m - 1;
+            (0..n)
+                .flat_map(|i| [(i, i + 1), (i, i + 2)])
+                .filter(|&(_, j)| j < n)
+                .collect()
         }
-        if i + 2 < circuit_qubits {
-            interactions.push((i, i + 2));
+        "qaoa3" => {
+            let n = (m - 1) & !1;
+            random_regular_graph(n, 3, &mut StdRng::seed_from_u64(11)).edges()
         }
-    }
-    QapProblem::from_interactions(m, &interactions, &hw)
+        _ => unreachable!("unknown QAP family {family}"),
+    };
+    QapProblem::from_interactions(m, &interactions, hw)
 }
 
 struct KernelEntry {
     name: &'static str,
+    family: &'static str,
     n: usize,
+    /// The production kernel (block-sparse table, early-abort scan, SIMD).
     blocked_ms: f64,
+    /// The all-dense delta-table kernels, where they apply.
+    dense_ms: Option<f64>,
+    /// Whether the production table skipped zero flow blocks.
+    skips: bool,
+    /// The swap_delta rebuild / full scan / scalar original.
     reference_ms: f64,
+}
+
+/// Panics unless the two tables agree bit for bit on every upper-triangle
+/// entry and every row minimum.
+fn assert_same_table(sparse: &DeltaTable, dense: &DeltaTable, n: usize, context: &str) {
+    for i in 0..n {
+        let same_min = sparse.row_lower_bound(i).to_bits() == dense.row_lower_bound(i).to_bits();
+        assert!(
+            same_min,
+            "{context}: row_min[{i}] diverged from the dense oracle"
+        );
+        for j in (i + 1)..n {
+            let same = sparse.delta(i, j).to_bits() == dense.delta(i, j).to_bits();
+            assert!(
+                same,
+                "{context}: delta({i}, {j}) diverged from the dense oracle"
+            );
+        }
+    }
 }
 
 fn measure_kernels(samples: usize, smoke: bool) -> Vec<KernelEntry> {
     let mut entries = Vec::new();
-    let grids: &[(usize, usize)] = if smoke {
-        &[(9, 9)]
+    let sycamore = Device::sycamore().distances().clone();
+    let grid = |rows, cols| DistanceMatrix::bfs(&Graph::grid(rows, cols));
+    let devices: Vec<DistanceMatrix> = if smoke {
+        vec![sycamore, grid(9, 9)]
     } else {
-        &[(9, 9), (15, 14)]
+        vec![sycamore, grid(9, 9), grid(15, 14)]
     };
-    for &(rows, cols) in grids {
-        let problem = nnn_mapping_qap(rows, cols);
-        let n = problem.num_facilities();
-        let mut rng = StdRng::seed_from_u64(7);
-        let assignment = problem.random_assignment(&mut rng);
+    for hw in &devices {
+        for family in ["nnn", "qaoa3"] {
+            let problem = mapping_qap(family, hw);
+            measure_qap_kernels(&problem, family, samples, &mut entries);
+        }
+    }
+    measure_sim_kernel(samples, smoke, &mut entries);
+    entries
+}
 
-        // Delta-table build: streaming SIMD rows vs. the O(n³) swap_delta
-        // reference.
-        entries.push(KernelEntry {
-            name: "delta_build",
-            n,
-            blocked_ms: median_ms(samples, || {
-                std::hint::black_box(DeltaTable::new(&problem, &assignment));
-            }),
-            reference_ms: median_ms(samples, || {
-                std::hint::black_box(build_delta_table_reference(&problem, &assignment));
-            }),
-        });
+fn measure_qap_kernels(
+    problem: &QapProblem,
+    family: &'static str,
+    samples: usize,
+    entries: &mut Vec<KernelEntry>,
+) {
+    let n = problem.num_facilities();
+    let skips = problem.skips_zero_blocks();
+    let context = format!("{family} n = {n}");
+    let mut rng = StdRng::seed_from_u64(7);
+    let assignment = problem.random_assignment(&mut rng);
 
-        // Post-swap maintenance: two rank-1 updates (a swap and its inverse,
-        // so the table returns to its starting state every iteration) vs.
-        // two full reference rebuilds.
-        let (u, v) = (3usize, 17usize);
-        let mut table = DeltaTable::new(&problem, &assignment);
-        let mut assign = assignment.clone();
-        entries.push(KernelEntry {
-            name: "apply_swap_x2",
-            n,
-            blocked_ms: median_ms(samples, || {
-                assign.swap(u, v);
-                table.apply_swap(&problem, &assign, u, v);
-                assign.swap(u, v);
-                table.apply_swap(&problem, &assign, u, v);
-            }),
-            reference_ms: median_ms(samples, || {
-                assign.swap(u, v);
-                std::hint::black_box(build_delta_table_reference(&problem, &assign));
-                assign.swap(u, v);
-                std::hint::black_box(build_delta_table_reference(&problem, &assign));
-            }),
-        });
+    // Delta-table build: block-sparse vs dense vs the O(n³) swap_delta
+    // reference.
+    entries.push(KernelEntry {
+        name: "delta_build",
+        family,
+        n,
+        blocked_ms: median_ms(samples, || {
+            std::hint::black_box(DeltaTable::new(problem, &assignment));
+        }),
+        dense_ms: Some(median_ms(samples, || {
+            std::hint::black_box(DeltaTable::new_dense(problem, &assignment));
+        })),
+        skips,
+        reference_ms: median_ms(samples, || {
+            std::hint::black_box(build_delta_table_reference(problem, &assignment));
+        }),
+    });
 
-        // Neighbourhood scan: span-truncated early-abort scan vs. the full
-        // reference scan.  Both must pick the same move.
-        let tabu_until = vec![0usize; n * n];
-        let current_cost = problem.cost(&assignment);
-        let budget = SolverBudget::unlimited();
-        let blocked_pick = select_best_move(
+    // Post-swap maintenance: two updates (a swap and its inverse, so the
+    // table returns to its starting state every iteration) vs. two full
+    // reference rebuilds.  The sparse and dense tables see the same swaps,
+    // so afterwards they must agree bit for bit.
+    let (u, v) = (3usize, 17usize);
+    let mut table = DeltaTable::new(problem, &assignment);
+    let mut dense = DeltaTable::new_dense(problem, &assignment);
+    let mut assign = assignment.clone();
+    let blocked_ms = median_ms(samples, || {
+        assign.swap(u, v);
+        table.apply_swap(problem, &assign, u, v);
+        assign.swap(u, v);
+        table.apply_swap(problem, &assign, u, v);
+    });
+    let dense_ms = median_ms(samples, || {
+        assign.swap(u, v);
+        dense.apply_swap_dense(problem, &assign, u, v);
+        assign.swap(u, v);
+        dense.apply_swap_dense(problem, &assign, u, v);
+    });
+    let reference_ms = median_ms(samples, || {
+        assign.swap(u, v);
+        std::hint::black_box(build_delta_table_reference(problem, &assign));
+        assign.swap(u, v);
+        std::hint::black_box(build_delta_table_reference(problem, &assign));
+    });
+    entries.push(KernelEntry {
+        name: "apply_swap_x2",
+        family,
+        n,
+        blocked_ms,
+        dense_ms: Some(dense_ms),
+        skips,
+        reference_ms,
+    });
+    // A seeded walk of accepted-looking swaps visits far more (u, v) pairs
+    // than the timed loop.
+    for _ in 0..64 {
+        let a = rng.gen_range(0..n);
+        let b = (a + rng.gen_range(1..n)) % n;
+        assign.swap(a, b);
+        table.apply_swap(problem, &assign, a, b);
+        dense.apply_swap_dense(problem, &assign, a, b);
+    }
+    assert_same_table(&table, &dense, n, &context);
+
+    // Neighbourhood scan: span-truncated early-abort scan vs. the full
+    // reference scan.  Both must pick the same move.
+    let table = DeltaTable::new(problem, &assignment);
+    let tabu_until = vec![0usize; n * n];
+    let current_cost = problem.cost(&assignment);
+    let budget = SolverBudget::unlimited();
+    let blocked_scan = || {
+        select_best_move(
             &table,
-            &problem,
+            problem,
             &tabu_until,
             1,
             current_cost,
             current_cost,
             &budget,
-        );
-        let reference_pick = select_best_move_reference(
-            &table,
-            &problem,
-            &tabu_until,
-            1,
-            current_cost,
-            current_cost,
-        );
-        assert_eq!(
-            blocked_pick, reference_pick,
-            "blocked and reference scans disagree on n = {n}"
-        );
-        entries.push(KernelEntry {
-            name: "scan",
-            n,
-            blocked_ms: median_ms(samples, || {
-                std::hint::black_box(select_best_move(
-                    &table,
-                    &problem,
-                    &tabu_until,
-                    1,
-                    current_cost,
-                    current_cost,
-                    &budget,
-                ));
-            }),
-            reference_ms: median_ms(samples, || {
-                std::hint::black_box(select_best_move_reference(
-                    &table,
-                    &problem,
-                    &tabu_until,
-                    1,
-                    current_cost,
-                    current_cost,
-                ));
-            }),
-        });
-    }
+        )
+    };
+    let reference_scan =
+        || select_best_move_reference(&table, problem, &tabu_until, 1, current_cost, current_cost);
+    assert_eq!(
+        blocked_scan(),
+        reference_scan(),
+        "{context}: blocked and reference scans disagree"
+    );
+    entries.push(KernelEntry {
+        name: "scan",
+        family,
+        n,
+        blocked_ms: median_ms(samples, || {
+            std::hint::black_box(blocked_scan());
+        }),
+        dense_ms: None,
+        skips,
+        reference_ms: median_ms(samples, || {
+            std::hint::black_box(reference_scan());
+        }),
+    });
+}
 
-    // Dense 4×4 statevector kernel on long amplitude runs (the
-    // `two_canonical_general` laggard): SIMD vs. the scalar original.  The
-    // gate is unitary, so applying it in place repeatedly stays normalised.
+/// Dense 4×4 statevector kernel on long amplitude runs (the
+/// `two_canonical_general` laggard): SIMD vs. the scalar original.  The
+/// gate is unitary, so applying it in place repeatedly stays normalised.
+fn measure_sim_kernel(samples: usize, smoke: bool, entries: &mut Vec<KernelEntry>) {
     let run_len = if smoke { 1 << 8 } else { 1 << 14 };
     let m = gates::canonical(0.5, 0.25, 0.125);
     let mut rng = StdRng::seed_from_u64(13);
@@ -395,6 +463,7 @@ fn measure_kernels(samples: usize, smoke: bool) -> Vec<KernelEntry> {
     let mut scalar_runs = runs.clone();
     entries.push(KernelEntry {
         name: "sim_general4",
+        family: "canonical",
         n: run_len,
         blocked_ms: median_ms(samples, || {
             let [a, b, c, d] = &mut runs[..] else {
@@ -402,6 +471,8 @@ fn measure_kernels(samples: usize, smoke: bool) -> Vec<KernelEntry> {
             };
             apply_general4(&m, a, b, c, d);
         }),
+        dense_ms: None,
+        skips: false,
         reference_ms: median_ms(samples, || {
             let [a, b, c, d] = &mut scalar_runs[..] else {
                 unreachable!()
@@ -409,7 +480,6 @@ fn measure_kernels(samples: usize, smoke: bool) -> Vec<KernelEntry> {
             apply_general4_scalar(&m, a, b, c, d);
         }),
     });
-    entries
 }
 
 fn run_kernels(samples: usize, smoke: bool, out: &str) {
@@ -419,11 +489,23 @@ fn run_kernels(samples: usize, smoke: bool, out: &str) {
     json.push_str("  \"benchmark\": \"qap_and_sim_kernels\",\n");
     json.push_str("  \"unit\": \"ms (median wall clock)\",\n");
     json.push_str(&format!("  \"samples\": {samples},\n"));
+    let host = host_json();
+    json.push_str(&format!("  {},\n", &host[1..host.len() - 1]));
     json.push_str("  \"kernels\": [\n");
     for (i, e) in entries.iter().enumerate() {
+        let dense = e
+            .dense_ms
+            .map(|ms| {
+                format!(
+                    ", \"dense_ms\": {ms:.4}, \"skips_zero_blocks\": {}",
+                    e.skips
+                )
+            })
+            .unwrap_or_default();
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"blocked_ms\": {:.4}, \"reference_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
+            "    {{\"name\": \"{}\", \"family\": \"{}\", \"n\": {}, \"blocked_ms\": {:.4}{dense}, \"reference_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
             e.name,
+            e.family,
             e.n,
             e.blocked_ms,
             e.reference_ms,

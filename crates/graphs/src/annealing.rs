@@ -141,14 +141,17 @@ fn annealing_schedule<R: Rng + ?Sized>(
     }
 
     // O(1) amortized move evaluation via the Tabu solver's DeltaTable.
-    // The table read is O(1) but every *accepted* move pays the O(n²)
-    // Taillard update, whereas recomputing `swap_delta` directly is O(n)
-    // per proposal with no update cost.  The table therefore only pays off
-    // once acceptance falls below ~1/n — which the cooling schedule
-    // guarantees eventually, but which is false by design in the hot
-    // phase.  Run table-free while the chain is hot and switch (once,
-    // deterministically) as soon as a sweep's acceptance rate drops under
-    // 1/n.
+    // The table read is O(1) but every *accepted* move pays the Taillard
+    // update — O(n²) on dense flows, typically O(n·deg) on the sparse flows
+    // of 2-local circuits — whereas recomputing `swap_delta` directly is
+    // O(n) per proposal with no update cost.  The switch rule below is
+    // sized for the dense update: the table pays off once acceptance falls
+    // below ~1/n — which the cooling schedule guarantees eventually, but
+    // which is false by design in the hot phase.  Run table-free while the
+    // chain is hot and switch (once, deterministically) as soon as a
+    // sweep's acceptance rate drops under 1/n.  The rule decides which
+    // moves are proposed against which deltas, so it stays as it is: a
+    // cheaper update leaves every annealing result unchanged.
     let mut deltas: Option<DeltaTable> = None;
 
     let mut temperature = config.initial_temperature.max(config.final_temperature);

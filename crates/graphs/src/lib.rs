@@ -39,8 +39,10 @@ pub use distance::DistanceMatrix;
 pub use graph::Graph;
 pub use qap::QapProblem;
 pub use random_regular::{random_regular_graph, try_random_regular_graph, RandomRegularError};
+#[cfg(any(test, feature = "reference"))]
+pub use tabu::{build_delta_table_reference, select_best_move_reference};
 pub use tabu::{
-    build_delta_table_reference, select_best_move, select_best_move_reference, tabu_search,
-    tabu_search_warm, tabu_search_with, DeltaTable, ScanOutcome, TabuConfig, TabuResult, WarmStart,
+    select_best_move, tabu_search, tabu_search_warm, tabu_search_with, DeltaTable, ScanOutcome,
+    TabuConfig, TabuResult, WarmStart,
 };
 pub use weighted::WeightedDistanceMatrix;

@@ -16,6 +16,11 @@ use crate::weighted::WeightedDistanceMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
+/// How many 4-wide blocks a pair's block union must leave out before a
+/// masked delta sum beats the dense one (see
+/// [`QapProblem::skips_zero_blocks`]).
+const SKIP_PAYS_BLOCKS: usize = 8;
+
 /// A QAP instance: an `n × n` flow matrix between facilities and an
 /// `m × m` (`m ≥ n`) distance matrix between locations, both stored flat in
 /// row-major order.
@@ -29,6 +34,14 @@ pub struct QapProblem {
     /// delta-table kernels stream over whole `sym` rows instead of gathering
     /// matching `flow` row/column entries.
     sym: Vec<f64>,
+    /// Block masks of the `sym` rows, `block_words` words per facility: bit
+    /// `b` of facility `i`'s words is set when `sym_row(i)[4b..4b + 4]`
+    /// holds a nonzero.  A 2-local Hamiltonian gives each qubit a handful of
+    /// partners, so the delta-table kernels visit a few blocks per row.
+    blocks: Vec<u64>,
+    block_words: usize,
+    /// See [`QapProblem::skips_zero_blocks`].
+    skips_zero_blocks: bool,
     /// `active[i]` is `false` for facilities whose flow row and column are
     /// all zero — the dummy facilities introduced by device-size padding.
     /// Exchanging two inactive facilities never changes the cost, so the
@@ -95,12 +108,32 @@ impl QapProblem {
                 sym[i * n + j] = flow[i * n + j] + flow[j * n + i];
             }
         }
+        // One word per 64 blocks of 4, i.e. per 256 facilities.
+        let block_words = n.div_ceil(256);
+        let mut blocks = vec![0u64; n * block_words];
+        for (i, words) in blocks.chunks_exact_mut(block_words.max(1)).enumerate() {
+            for (k, &s) in sym[i * n..(i + 1) * n].iter().enumerate() {
+                if s != 0.0 {
+                    words[k / 256] |= 1 << ((k / 4) % 64);
+                }
+            }
+        }
+        // A masked sum costs a few cycles more per call than a dense one,
+        // and a union of two rows spans about twice a row's blocks: skip
+        // only when that leaves out SKIP_PAYS_BLOCKS or more of the row.
+        let set_blocks: usize = blocks.iter().map(|w| w.count_ones() as usize).sum();
+        let rows = active.iter().filter(|&&a| a).count();
+        let skips_zero_blocks =
+            rows > 0 && 2 * set_blocks + SKIP_PAYS_BLOCKS * rows <= n.div_ceil(4) * rows;
         Self {
             n,
             m,
             flow,
             distance,
             sym,
+            blocks,
+            block_words,
+            skips_zero_blocks,
             active,
             last_active,
         }
@@ -201,6 +234,25 @@ impl QapProblem {
     #[inline]
     pub fn sym_row(&self, i: usize) -> &[f64] {
         &self.sym[i * self.n..(i + 1) * self.n]
+    }
+
+    /// The block mask of `sym_row(i)`: bit `b` (word `b / 64`) is set when
+    /// `sym_row(i)[4b..4b + 4]` holds a nonzero.  One word per 256
+    /// facilities.
+    #[inline]
+    pub fn sym_blocks(&self, i: usize) -> &[u64] {
+        &self.blocks[i * self.block_words..(i + 1) * self.block_words]
+    }
+
+    /// Whether the delta-table kernels skip the zero blocks of the flow
+    /// rows ([`sym_blocks`](Self::sym_blocks)) on this problem: decided
+    /// from the masks alone, when a typical pair of rows leaves out at
+    /// least `SKIP_PAYS_BLOCKS` (8) of the ⌈n/4⌉ blocks.  Either way the
+    /// kernels give the same bits; below that, skipping costs more than it
+    /// saves.
+    #[inline]
+    pub fn skips_zero_blocks(&self) -> bool {
+        self.skips_zero_blocks
     }
 
     /// Returns `false` for dummy facilities (all-zero flow row and column)
@@ -356,6 +408,17 @@ impl QapProblem {
             seen[loc] = true;
         }
         true
+    }
+}
+
+#[cfg(test)]
+impl QapProblem {
+    /// The same problem with [`skips_zero_blocks`](Self::skips_zero_blocks)
+    /// off: the Tabu and annealing delta tables then run their all-dense
+    /// kernels, the oracle the skipping ones must match bit for bit.
+    pub(crate) fn dense_oracle(mut self) -> Self {
+        self.skips_zero_blocks = false;
+        self
     }
 }
 
@@ -539,6 +602,38 @@ mod tests {
         // Swapping two inactive facilities never changes the cost.
         let a = p.trivial_assignment();
         assert_eq!(p.swap_delta(&a, 3, 4), 0.0);
+    }
+
+    #[test]
+    fn sym_blocks_mark_the_nonzero_blocks_of_each_flow_row() {
+        // An NNN chain over 300 of 310 facilities: two mask words per row.
+        let n = 310;
+        let hw = DistanceMatrix::bfs(&Graph::grid(10, 31));
+        let chain: Vec<(usize, usize)> = (0..299)
+            .flat_map(|i| [(i, i + 1), (i, i + 2)])
+            .filter(|&(_, j)| j < 300)
+            .collect();
+        let p = QapProblem::from_interactions(n, &chain, &hw);
+        for i in 0..n {
+            let words = p.sym_blocks(i);
+            assert_eq!(words.len(), 2);
+            for block in 0..n.div_ceil(4) {
+                let set = words[block / 64] >> (block % 64) & 1 == 1;
+                let end = (4 * block + 4).min(n);
+                let nonzero = p.sym_row(i)[4 * block..end].iter().any(|&x| x != 0.0);
+                assert_eq!(set, nonzero, "row {i}, block {block}");
+            }
+        }
+        assert!(p.skips_zero_blocks());
+        // Dense flows, and tiny or all-dummy problems, keep the dense sums.
+        assert!(!small_problem().skips_zero_blocks());
+        assert!(!QapProblem::from_interactions(64, &[], &hw_grid(8, 8)).skips_zero_blocks());
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(!random_problem(60, &mut rng).skips_zero_blocks());
+    }
+
+    fn hw_grid(rows: usize, cols: usize) -> DistanceMatrix {
+        DistanceMatrix::bfs(&Graph::grid(rows, cols))
     }
 
     #[test]

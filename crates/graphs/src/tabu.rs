@@ -12,7 +12,11 @@
 //!   swap is computed once up front and then updated incrementally after
 //!   each accepted move (O(1) for pairs not touching the swapped facilities,
 //!   O(n) for the O(n) pairs that do), so one iteration costs O(n²) instead
-//!   of the O(n³) of re-deriving every swap delta from scratch;
+//!   of the O(n³) of re-deriving every swap delta from scratch.  The flow
+//!   matrix of a 2-local Hamiltonian is sparse (each qubit meets a handful
+//!   of others), and the table skips its all-zero 4-wide blocks bit for bit
+//!   ([`DeltaTable`]): an accepted move then typically costs O(n·deg), and
+//!   the scan, not the update, bounds an iteration at O(n²);
 //! * **parallel restarts** — the independent random restarts run on a thread
 //!   pool with per-restart seeds pre-drawn from the caller's RNG, so results
 //!   are bit-identical for a fixed seed regardless of thread count.
@@ -142,17 +146,31 @@ const BUDGET_CHECK_ROWS: usize = 32;
 /// row's candidate partners are its *active span*
 /// ([`QapProblem::scan_span`]).
 ///
-/// The table is the 95% hot path of a compile, so it is built for streaming:
+/// Maintaining the table is most of a Tabu search (and so of the
+/// qubit-mapping pass), so it is built for streaming and for sparse flows:
 ///
 /// * `dloc` caches the assignment-permuted distance matrix
 ///   (`dloc[r·n + k] = d(φ(r), φ(k))`), turning every delta recomputation
-///   into a gather-free dot product over four contiguous rows
-///   ([`crate::simd::delta_dot`]);
+///   into a gather-free dot product over four contiguous rows;
+/// * on problems whose flow rows are mostly zero blocks
+///   ([`QapProblem::skips_zero_blocks`]) that dot product visits only the
+///   4-wide blocks where either flow row is nonzero
+///   ([`crate::simd::delta_dot_masked`]), so a recomputation costs O(deg)
+///   blocks instead of O(n);
 /// * [`DeltaTable::apply_swap`] applies the Taillard update as a rank-1
 ///   row sweep (`(sg[i] − sg[j])·(h[i] − h[j])` from two O(n) difference
-///   vectors) via the explicit-SIMD seam ([`crate::simd::update_row`]);
-/// * each row's minimum is cached while its data is hot (`row_min`), giving
-///   the neighbourhood scan a lower bound to early-abort whole rows.
+///   vectors, [`crate::simd::update_row`]).  `sg` vanishes outside
+///   N(u) ∪ N(v), so on those same problems a long row outside it is
+///   patched in just those columns, which keeps a swap at typically
+///   O(n·deg) instead of O(n²);
+/// * each row's minimum is kept exact (`row_min`), giving the neighbourhood
+///   scan a lower bound to early-abort whole rows.
+///
+/// Other problems (small devices, dense flows) run the all-dense kernels.
+/// Each skip only leaves out terms that are `±0` and is decided from the
+/// input alone, so every entry is bit-identical either way;
+/// `new_dense` / `apply_swap_dense` (feature `reference`) force the
+/// all-dense kernels as the test oracle.
 #[derive(Debug, Clone)]
 pub struct DeltaTable {
     n: usize,
@@ -166,10 +184,13 @@ pub struct DeltaTable {
     row_min: Vec<f64>,
     /// Scratch for [`DeltaTable::apply_swap`]: `sg`, `h`, `sg·h`.
     scratch: Vec<f64>,
+    /// Scratch for [`DeltaTable::apply_swap`]: the columns `j ∉ {u, v}`
+    /// with `sg[j] ≠ 0`, ascending.
+    moved: Vec<usize>,
 }
 
 impl DeltaTable {
-    /// Builds the table for `assignment` (O(n³), but streaming + SIMD).
+    /// Builds the table for `assignment` (O(n²) delta recomputations).
     pub fn new(problem: &QapProblem, assignment: &[usize]) -> Self {
         Self::new_budgeted(problem, assignment, &SolverBudget::unlimited())
             .expect("an unlimited budget never expires")
@@ -178,8 +199,20 @@ impl DeltaTable {
     /// Builds the table under a cooperative budget, checked once per
     /// `BUDGET_CHECK_ROWS`-row tile.  Returns `None` if the budget expires
     /// mid-build so deadline-limited solvers can fall back to best-so-far
-    /// without paying for the rest of the O(n³) build.
+    /// without paying for the rest of the build.
     pub fn new_budgeted(
+        problem: &QapProblem,
+        assignment: &[usize],
+        budget: &SolverBudget,
+    ) -> Option<Self> {
+        if problem.skips_zero_blocks() {
+            Self::build::<true>(problem, assignment, budget)
+        } else {
+            Self::build::<false>(problem, assignment, budget)
+        }
+    }
+
+    fn build<const SKIP: bool>(
         problem: &QapProblem,
         assignment: &[usize],
         budget: &SolverBudget,
@@ -204,7 +237,7 @@ impl DeltaTable {
                 continue;
             }
             for j in lo..span {
-                delta[i * n + j] = delta_pair(problem, &dloc, n, i, j);
+                delta[i * n + j] = delta_pair::<SKIP>(problem, &dloc, n, i, j);
             }
             row_min[i] = simd::row_min(&delta[i * n + lo..i * n + span]);
         }
@@ -214,6 +247,7 @@ impl DeltaTable {
             dloc,
             row_min,
             scratch: vec![0.0; 3 * n],
+            moved: vec![0; n],
         })
     }
 
@@ -226,7 +260,7 @@ impl DeltaTable {
     }
 
     /// Lower bound on `delta(i, j)` over row `i`'s active span (`+∞` for
-    /// rows with no candidate partner).
+    /// rows with no candidate partner): the exact row minimum.
     #[inline]
     pub fn row_lower_bound(&self, i: usize) -> f64 {
         self.row_min[i]
@@ -235,18 +269,36 @@ impl DeltaTable {
     /// Updates the table after the swap of facilities `u` and `v` has been
     /// applied to `assignment` (which must already reflect the swap).
     ///
-    /// Pairs disjoint from `{u, v}` get the O(1) Taillard update, applied as
-    /// a SIMD rank-1 row sweep; the O(n) pairs touching `u` or `v` are
-    /// recomputed as streaming dot products, for an O(n²) total — the same
-    /// order as one neighbourhood scan.
+    /// The O(n) pairs touching `u` or `v` are recomputed as streaming dot
+    /// products (O(deg) blocks each where the flow is sparse).  Pairs
+    /// disjoint from `{u, v}` get the O(1) Taillard update, which is
+    /// nonzero only where a row or column lies in N(u) ∪ N(v): rows inside
+    /// it and short rows take the dense SIMD sweep, every other row is
+    /// patched in those O(deg) columns and rescans its minimum only when
+    /// the old minimum went up.  On sparse flows that is typically
+    /// O(n·deg) per swap instead of O(n²).
     pub fn apply_swap(&mut self, problem: &QapProblem, assignment: &[usize], u: usize, v: usize) {
+        let (u, v) = self.permute_dloc(problem, assignment, u, v);
+        if problem.skips_zero_blocks() {
+            self.sweep::<true>(problem, u, v);
+        } else {
+            self.sweep::<false>(problem, u, v);
+        }
+    }
+
+    /// Swapping facilities `u` and `v` permutes `dloc` by the transposition
+    /// `(u v)` on both axes.  Returns `(min, max)` of the pair.
+    fn permute_dloc(
+        &mut self,
+        problem: &QapProblem,
+        assignment: &[usize],
+        u: usize,
+        v: usize,
+    ) -> (usize, usize) {
         let n = self.n;
         debug_assert!(u != v && u < n && v < n);
         debug_assert_eq!(assignment.len(), n);
         let (u, v) = (u.min(v), u.max(v));
-
-        // 1. Re-permute the cached distance matrix: swapping facilities u, v
-        //    permutes dloc by the transposition (u v) on both axes.
         for r in 0..n {
             self.dloc.swap(r * n + u, r * n + v);
         }
@@ -256,40 +308,72 @@ impl DeltaTable {
             self.dloc[u * n + v],
             problem.distance(assignment[u], assignment[v])
         );
+        (u, v)
+    }
 
-        // 2. Difference vectors for the rank-1 Taillard update: for any pair
-        //    {i, j} disjoint from {u, v},
-        //    Δ'(i, j) = Δ(i, j) + (sg[i] − sg[j])·(h[i] − h[j])
-        //    with sg[i] = sym(i, u) − sym(i, v) (flow side, rows + columns
-        //    folded through the symmetric sums) and h[i] = d(φ(i), a) −
-        //    d(φ(i), b) (distance side; a/b are u/v's pre-swap locations,
-        //    i.e. φ(v)/φ(u) *after* the swap — dloc columns v/u).
+    /// The row sweep of [`DeltaTable::apply_swap`] for `u < v`; `SKIP`
+    /// enables the masked dot products and the patched rows.
+    fn sweep<const SKIP: bool>(&mut self, problem: &QapProblem, u: usize, v: usize) {
+        let n = self.n;
+        // Difference vectors for the rank-1 Taillard update: for any pair
+        // {i, j} disjoint from {u, v},
+        // Δ'(i, j) = Δ(i, j) + (sg[i] − sg[j])·(h[i] − h[j])
+        // with sg[i] = sym(i, u) − sym(i, v) (flow side, rows + columns
+        // folded through the symmetric sums) and h[i] = d(φ(i), a) −
+        // d(φ(i), b) (distance side; a/b are u/v's pre-swap locations,
+        // i.e. φ(v)/φ(u) *after* the swap — dloc columns v/u).  `sym` is
+        // symmetric bit for bit (IEEE addition commutes), so rows u and v
+        // give sg contiguously.
+        let sym_u = problem.sym_row(u);
+        let sym_v = problem.sym_row(v);
         let (sg, rest) = self.scratch.split_at_mut(n);
         let (h, sgh) = rest.split_at_mut(n);
+        let mut moved = 0;
         for i in 0..n {
-            let sym_i = problem.sym_row(i);
-            sg[i] = sym_i[u] - sym_i[v];
+            sg[i] = sym_u[i] - sym_v[i];
             h[i] = self.dloc[i * n + v] - self.dloc[i * n + u];
             sgh[i] = sg[i] * h[i];
+            if SKIP {
+                // Branch-free append: the pattern of sg ≠ 0 is data.
+                self.moved[moved] = i;
+                moved += usize::from((sg[i] != 0.0) & (i != u) & (i != v));
+            }
         }
+        let moved = &self.moved[..moved];
+        // A row patch costs about as much as a dense sweep of
+        // PATCH_ROW_FACTOR × (the set blocks of N(u) ∪ N(v)); shorter rows
+        // take the sweep.  Both give the same bits.
+        let dense_span = if SKIP {
+            let blocks = problem.sym_blocks(u).iter().zip(problem.sym_blocks(v));
+            let set: u32 = blocks.map(|(a, b)| (a | b).count_ones()).sum();
+            PATCH_ROW_FACTOR * 4 * set as usize
+        } else {
+            n
+        };
+        // `moved[first..]` are the patch columns right of the current row.
+        let mut first = 0;
 
-        // 3. Sweep the rows.  Inactive-inactive pairs stay at exactly 0.0:
-        //    dummy facilities have all-zero sym rows, so sg (and sgh) vanish
-        //    and the blanket update adds 0.0·(h[i] − h[j]) = ±0.0.
         for i in 0..n {
             let span = problem.scan_span(i);
             let lo = i + 1;
             if lo >= span {
                 continue;
             }
-            let row = &mut self.delta[i * n + lo..i * n + span];
+            let base = i * n;
+            while first < moved.len() && moved[first] <= i {
+                first += 1;
+            }
             if i == u || i == v {
-                for (off, slot) in row.iter_mut().enumerate() {
-                    *slot = delta_pair(problem, &self.dloc, n, i, lo + off);
+                for j in lo..span {
+                    self.delta[base + j] = delta_pair::<SKIP>(problem, &self.dloc, n, i, j);
                 }
-            } else {
+                self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
+            } else if span - lo <= dense_span || sg[i] != 0.0 {
+                // Inactive-inactive pairs stay at exactly 0.0: dummy
+                // facilities have all-zero sym rows, so sg (and sgh) vanish
+                // and the blanket update adds 0.0·(h[i] − h[j]) = ±0.0.
                 simd::update_row(
-                    row,
+                    &mut self.delta[base + lo..base + span],
                     &sg[lo..span],
                     &h[lo..span],
                     &sgh[lo..span],
@@ -297,16 +381,82 @@ impl DeltaTable {
                     h[i],
                 );
                 // The blanket update is wrong for the two recompute columns;
-                // overwrite them with exact streaming recomputations.
-                if u > i && u < span {
-                    self.delta[i * n + u] = delta_pair(problem, &self.dloc, n, i, u);
+                // overwrite them with exact recomputations.
+                for c in [u, v] {
+                    if c > i && c < span {
+                        self.delta[base + c] = delta_pair::<SKIP>(problem, &self.dloc, n, i, c);
+                    }
                 }
-                if v > i && v < span {
-                    self.delta[i * n + v] = delta_pair(problem, &self.dloc, n, i, v);
+                self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
+            } else {
+                // sg[i] == 0: entry j moves by (sg[j] − 0)·(h[i] − h[j]),
+                // so only where sg[j] ≠ 0.  The expression is `update_row`'s,
+                // so a patched entry matches the sweep bit for bit, and a
+                // skipped one would only have gained ±0.
+                let old_min = self.row_min[i];
+                let (a_sg, a_h) = (sg[i], h[i]);
+                let ab = a_sg * a_h;
+                let mut changed_min = f64::INFINITY;
+                let mut lost_min = false;
+                let mut set = |slot: &mut f64, value: f64| {
+                    lost_min |= *slot == old_min;
+                    changed_min = changed_min.min(value);
+                    *slot = value;
+                };
+                for &j in &moved[first..] {
+                    if j >= span {
+                        break;
+                    }
+                    let slot = &mut self.delta[base + j];
+                    let value = *slot + ((ab + sgh[j]) - (a_sg * h[j] + a_h * sg[j]));
+                    set(slot, value);
                 }
+                for c in [u, v] {
+                    if c > i && c < span {
+                        let value = delta_pair::<SKIP>(problem, &self.dloc, n, i, c);
+                        set(&mut self.delta[base + c], value);
+                    }
+                }
+                // Untouched entries are all ≥ old_min, so the minimum moves
+                // down to `changed_min`, stays, or must be rescanned if the
+                // entry that held it went up.
+                self.row_min[i] = if changed_min <= old_min {
+                    changed_min
+                } else if !lost_min {
+                    old_min
+                } else {
+                    simd::row_min(&self.delta[base + lo..base + span])
+                };
             }
-            self.row_min[i] = simd::row_min(&self.delta[i * n + lo..i * n + span]);
         }
+    }
+}
+
+/// How much longer than the dense sweep of its blocks a row must be before
+/// [`DeltaTable::apply_swap`] patches it instead.
+const PATCH_ROW_FACTOR: usize = 2;
+
+/// The all-dense kernels: every delta recomputation streams whole rows and
+/// every row takes the rank-1 sweep.  The oracle that the block-skipping
+/// table must match bit for bit, and the `--kernels` microbench baseline.
+#[cfg(any(test, feature = "reference"))]
+impl DeltaTable {
+    /// Builds the table with dense delta recomputations.
+    pub fn new_dense(problem: &QapProblem, assignment: &[usize]) -> Self {
+        Self::build::<false>(problem, assignment, &SolverBudget::unlimited())
+            .expect("an unlimited budget never expires")
+    }
+
+    /// [`DeltaTable::apply_swap`] with the all-dense kernels.
+    pub fn apply_swap_dense(
+        &mut self,
+        problem: &QapProblem,
+        assignment: &[usize],
+        u: usize,
+        v: usize,
+    ) {
+        let (u, v) = self.permute_dloc(problem, assignment, u, v);
+        self.sweep::<false>(problem, u, v);
     }
 }
 
@@ -316,13 +466,29 @@ impl DeltaTable {
 /// `{i, j}` term cancels because hardware distance matrices are symmetric).
 /// Exact — not merely close — on integer-valued matrices, since every
 /// intermediate is an exactly-representable integer.
+///
+/// With `SKIP` the sum visits only the blocks where `sym_i` or `sym_j` is
+/// nonzero; the rest would add `(0 − 0)·(finite) = ±0` to lanes that are
+/// never `−0`, so the result is the dense sum bit for bit (distances are
+/// finite).
 #[inline]
-fn delta_pair(problem: &QapProblem, dloc: &[f64], n: usize, i: usize, j: usize) -> f64 {
+fn delta_pair<const SKIP: bool>(
+    problem: &QapProblem,
+    dloc: &[f64],
+    n: usize,
+    i: usize,
+    j: usize,
+) -> f64 {
     let sym_i = problem.sym_row(i);
     let sym_j = problem.sym_row(j);
     let dloc_i = &dloc[i * n..(i + 1) * n];
     let dloc_j = &dloc[j * n..(j + 1) * n];
-    let full = simd::delta_dot(sym_i, sym_j, dloc_j, dloc_i);
+    let full = if SKIP {
+        let (mask_i, mask_j) = (problem.sym_blocks(i), problem.sym_blocks(j));
+        simd::delta_dot_masked(sym_i, sym_j, dloc_j, dloc_i, mask_i, mask_j)
+    } else {
+        simd::delta_dot(sym_i, sym_j, dloc_j, dloc_i)
+    };
     let at_i = (sym_i[i] - sym_j[i]) * (dloc_j[i] - dloc_i[i]);
     let at_j = (sym_i[j] - sym_j[j]) * (dloc_j[j] - dloc_i[j]);
     full - at_i - at_j
@@ -444,6 +610,7 @@ pub fn select_best_move(
 /// Reference full scan of the swap neighbourhood — the pre-blocking PR-1
 /// semantics, kept as the oracle for the property tests and the `--kernels`
 /// microbench.  Never checks the budget.
+#[cfg(any(test, feature = "reference"))]
 pub fn select_best_move_reference(
     table: &DeltaTable,
     problem: &QapProblem,
@@ -480,6 +647,7 @@ pub fn select_best_move_reference(
 /// Reference O(n³) delta-table build on top of `QapProblem::swap_delta` —
 /// the pre-blocking PR-1 semantics, kept as the oracle for property tests
 /// and the `--kernels` microbench.  Returns the full upper-triangle buffer.
+#[cfg(any(test, feature = "reference"))]
 pub fn build_delta_table_reference(problem: &QapProblem, assignment: &[usize]) -> Vec<f64> {
     let n = problem.num_facilities();
     let mut delta = vec![0.0; n * n];
@@ -529,7 +697,8 @@ fn tabu_core(
     let mut tabu_until = vec![0usize; n * n];
     let mut stall = 0usize;
     let mut iterations = 0usize;
-    // The delta table costs O(n³) up front — the budgeted build bails out
+    // The delta table costs O(n²·deg) up front (O(n³) on dense flows) —
+    // the budgeted build bails out
     // per row tile, so a zero-deadline call returns (the valid start)
     // immediately and a mid-build expiry wastes at most one tile.
     let mut deltas = if n >= 2 && !budget.expired() {
@@ -720,6 +889,159 @@ mod tests {
                         table.delta(i, j)
                     );
                 }
+            }
+        }
+    }
+
+    /// QAPs that exercise the block masks: hop-count and weighted
+    /// (non-integer) distances, dummy padding, sizes off a multiple of 4,
+    /// m > 256 (two mask words), a dense non-integer flow, the tiny sizes
+    /// and an all-dummy problem.
+    fn oracle_instances() -> Vec<(&'static str, QapProblem)> {
+        use crate::random_regular::random_regular_graph;
+        use crate::weighted::WeightedDistanceMatrix;
+        let mut rng = StdRng::seed_from_u64(2024);
+        let hop = |rows, cols| DistanceMatrix::bfs(&Graph::grid(rows, cols));
+        let weighted = |rows, cols| {
+            WeightedDistanceMatrix::dijkstra(&Graph::grid(rows, cols), &|a, b| {
+                1.0 + ((a.min(b) * 31 + a.max(b) * 17) % 23) as f64 / 7.0
+            })
+        };
+        let nnn = |n: usize| -> Vec<(usize, usize)> {
+            (0..n)
+                .flat_map(|i| [(i, i + 1), (i, i + 2)])
+                .filter(|&(_, j)| j < n)
+                .collect()
+        };
+        let qaoa3 = |n: usize, rng: &mut StdRng| random_regular_graph(n, 3, rng).edges();
+        let dense_flow = {
+            let (n, m) = (13, 15);
+            let flow: Vec<f64> = (0..n * n).map(|_| rng.gen::<f64>() * 3.0).collect();
+            let w = weighted(3, 5);
+            let distance = (0..m).flat_map(|a| w.row(a).to_vec()).collect();
+            QapProblem::from_flat(n, flow, m, distance)
+        };
+        vec![
+            (
+                "qaoa3 m=16",
+                QapProblem::from_interactions(16, &qaoa3(14, &mut rng), &hop(4, 4)),
+            ),
+            (
+                "qaoa3 m=27",
+                QapProblem::from_interactions(27, &qaoa3(26, &mut rng), &hop(3, 9)),
+            ),
+            (
+                "nnn m=54",
+                QapProblem::from_interactions(54, &nnn(53), &hop(6, 9)),
+            ),
+            (
+                "weighted qaoa3 m=81",
+                QapProblem::from_interactions_weighted(81, &qaoa3(80, &mut rng), &weighted(9, 9)),
+            ),
+            (
+                "weighted nnn m=30",
+                QapProblem::from_interactions_weighted(30, &nnn(20), &weighted(5, 6)),
+            ),
+            ("dense weighted flow n=13", dense_flow),
+            (
+                "qaoa3 m=289",
+                QapProblem::from_interactions(289, &qaoa3(280, &mut rng), &hop(17, 17)),
+            ),
+            ("n=1", QapProblem::from_interactions(1, &[], &hop(1, 3))),
+            (
+                "n=2",
+                QapProblem::from_interactions(2, &[(0, 1)], &hop(1, 3)),
+            ),
+            (
+                "all dummy",
+                QapProblem::from_interactions(6, &[], &hop(2, 3)),
+            ),
+        ]
+    }
+
+    fn assert_same_bits(sparse: &DeltaTable, dense: &DeltaTable, context: &str) {
+        let n = sparse.n;
+        for i in 0..n {
+            assert_eq!(
+                sparse.row_lower_bound(i).to_bits(),
+                dense.row_lower_bound(i).to_bits(),
+                "{context}: row_min[{i}]"
+            );
+            for j in (i + 1)..n {
+                assert_eq!(
+                    sparse.delta(i, j).to_bits(),
+                    dense.delta(i, j).to_bits(),
+                    "{context}: delta({i}, {j})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_table_matches_the_dense_oracle_bit_for_bit() {
+        let instances = oracle_instances();
+        let skipping = instances.iter().filter(|(_, p)| p.skips_zero_blocks());
+        assert!(
+            skipping.count() >= 3,
+            "too few instances exercise the skips"
+        );
+        for (name, p) in instances {
+            let n = p.num_facilities();
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let mut assignment = p.random_assignment(&mut rng);
+            let mut sparse = DeltaTable::new(&p, &assignment);
+            let mut dense = DeltaTable::new_dense(&p, &assignment);
+            assert_same_bits(&sparse, &dense, &format!("{name}, build"));
+            if n < 2 {
+                continue;
+            }
+            let steps = if n > 256 { 12 } else { 40 };
+            for step in 0..steps {
+                let u = rng.gen_range(0..n);
+                let v = (u + rng.gen_range(1..n)) % n;
+                assignment.swap(u, v);
+                sparse.apply_swap(&p, &assignment, u, v);
+                dense.apply_swap_dense(&p, &assignment, u, v);
+                assert_same_bits(&sparse, &dense, &format!("{name}, swap {step} ({u}, {v})"));
+            }
+        }
+    }
+
+    #[test]
+    fn solvers_match_their_dense_oracle_runs_exactly() {
+        use crate::annealing::{simulated_annealing_with, AnnealingConfig};
+        let unlimited = SolverBudget::unlimited();
+        for (name, p) in oracle_instances() {
+            if p.num_facilities() > 100 {
+                continue; // covered table-level above; keeps the debug run short
+            }
+            let oracle = p.clone().dense_oracle();
+            let warm = WarmStart::new(p.random_assignment(&mut StdRng::seed_from_u64(1)));
+            for start in [None, Some(&warm)] {
+                let tabu = |q: &QapProblem| {
+                    let config = TabuConfig::default();
+                    tabu_search_with(q, &config, &unlimited, start, &mut StdRng::seed_from_u64(5))
+                };
+                let (got, want) = (tabu(&p), tabu(&oracle));
+                assert_eq!(got, want, "{name}: tabu (warm: {})", start.is_some());
+                assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{name}: tabu cost");
+                let anneal = |q: &QapProblem| {
+                    let config = AnnealingConfig::default();
+                    simulated_annealing_with(
+                        q,
+                        &config,
+                        &unlimited,
+                        start,
+                        &mut StdRng::seed_from_u64(6),
+                    )
+                };
+                let (got, want) = (anneal(&p), anneal(&oracle));
+                assert_eq!(got, want, "{name}: annealing (warm: {})", start.is_some());
+                assert_eq!(
+                    got.cost.to_bits(),
+                    want.cost.to_bits(),
+                    "{name}: annealing cost"
+                );
             }
         }
     }
