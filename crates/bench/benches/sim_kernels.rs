@@ -2,7 +2,8 @@
 //!
 //! Complements `bench_sim` (which writes the checked-in `BENCH_sim.json`)
 //! with interactive numbers: per-kernel gate application against the naive
-//! reference, and a small noisy-trajectory evaluation.  Run with
+//! reference oracles (twoqan-sim's `reference` feature), and a small
+//! noisy-trajectory evaluation.  Run with
 //! `cargo bench -p twoqan-bench --bench sim_kernels`; set
 //! `BENCH_SAMPLE_SIZE=1` for a smoke pass.
 
@@ -12,7 +13,7 @@ use twoqan_device::TwoQubitBasis;
 use twoqan_ham::QaoaProblem;
 use twoqan_math::gates;
 use twoqan_sim::kernels::{apply_single_kernel, apply_two_kernel, SingleKernel, TwoKernel};
-use twoqan_sim::{NoiseModel, SimEngine, StateVector, TrajectorySimulator};
+use twoqan_sim::{NoiseModel, StateVector, TrajectorySimulator};
 
 const N: usize = 16;
 
@@ -71,10 +72,7 @@ fn bench_trajectories(c: &mut Criterion) {
     let noise = NoiseModel::from_device(&twoqan_device::Device::montreal());
     let base = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 8, 42);
     group.bench_function("qaoa12_noisy_naive", |b| {
-        b.iter(|| {
-            let sim = base.clone().with_engine(SimEngine::Naive);
-            black_box(sim.ising_cost_expectation(&schedule, &edges))
-        })
+        b.iter(|| black_box(base.naive_expectation(&schedule, &edges)))
     });
     group.bench_function("qaoa12_noisy_kernelized", |b| {
         b.iter(|| {

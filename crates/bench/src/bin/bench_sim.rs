@@ -2,8 +2,9 @@
 //! extends the perf trajectory of `BENCH_compiler.json` to the simulator.
 //!
 //! Two measurement families, each recorded as naive ("before": the
-//! branch-per-index, matrix-rebuilding loops kept as `apply_*_naive`)
-//! versus kernelized ("after": stride-enumeration kernels with specialized
+//! branch-per-index, matrix-rebuilding loops kept as twoqan-sim's
+//! `reference`-gated `apply_*_naive` / `naive_expectation` oracles) versus
+//! kernelized ("after": stride-enumeration kernels with specialized
 //! diagonal / swap-diagonal paths and per-circuit matrix caching):
 //!
 //! * **gate kernels** — one gate application on a dense `2^n` state, for the
@@ -29,7 +30,7 @@ use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::QaoaProblem;
 use twoqan_math::gates;
 use twoqan_sim::kernels::{apply_single_kernel, apply_two_kernel, SingleKernel, TwoKernel};
-use twoqan_sim::{NoiseModel, SimEngine, StateVector, TrajectorySimulator};
+use twoqan_sim::{NoiseModel, StateVector, TrajectorySimulator};
 
 struct KernelEntry {
     name: &'static str,
@@ -207,8 +208,7 @@ fn measure_trajectories(n: usize, shots: usize, samples: usize) -> TrajectoryEnt
     let noise = NoiseModel::from_device(&Device::montreal());
     let base = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, shots, 12345);
     let naive_ms = median_ms(samples, || {
-        let sim = base.clone().with_engine(SimEngine::Naive);
-        std::hint::black_box(sim.ising_cost_expectation(&schedule, &edges));
+        std::hint::black_box(base.naive_expectation(&schedule, &edges));
     });
     let kernelized_serial_ms = median_ms(samples, || {
         let sim = base.clone().with_parallel(false);

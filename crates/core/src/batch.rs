@@ -11,11 +11,13 @@
 //! second nested thread layer: a batch at `--threads N` runs exactly `N`
 //! workers, end to end.
 //!
-//! Every job runs inside a `catch_unwind` isolation boundary: a panicking
-//! compiler produces a [`CompileError::Internal`] in that job's result slot
-//! instead of unwinding across the scope and sinking the whole batch.  A
-//! configurable per-job retry policy ([`BatchCompiler::with_retries`])
-//! re-runs failed jobs a bounded number of times, for transient faults.
+//! Every job runs inside a `catch_unwind` isolation boundary
+//! ([`compile_isolated`], which the compile service also calls directly): a
+//! panicking compiler produces a [`CompileError::Internal`] in that job's
+//! result slot instead of unwinding across the scope and sinking the whole
+//! batch.  A configurable per-job retry policy
+//! ([`BatchCompiler::with_retries`]) re-runs failed jobs a bounded number of
+//! times, for transient faults.
 
 use crate::error::CompileError;
 use crate::pipeline::{CompiledOutput, Compiler};
@@ -112,43 +114,49 @@ impl BatchCompiler {
         if CompilePool::current_workers().is_some() {
             // Nested batch: reuse the outer pool (the caller participates
             // and helps, so this cannot deadlock and spawns nothing).
-            return twoqan_pool::run_indexed(jobs.len(), |i| self.compile_isolated(&jobs[i]));
+            return twoqan_pool::run_indexed(jobs.len(), |i| self.compile_with_retries(&jobs[i]));
         }
         let pool = CompilePool::new(self.resolved_threads(jobs.len()));
         // Install on the submitting thread too: it participates in the
         // batch, and its jobs' nested restarts must also reach the pool.
         let guard = pool.install();
-        let results = pool.run_indexed(jobs.len(), |i| self.compile_isolated(&jobs[i]));
+        let results = pool.run_indexed(jobs.len(), |i| self.compile_with_retries(&jobs[i]));
         drop(guard);
         results
     }
 
-    /// Runs one job behind a `catch_unwind` boundary with the configured
-    /// retry budget.  A panic becomes [`CompileError::Internal`] carrying
-    /// the panic payload; it never unwinds into the worker loop.
-    fn compile_isolated(&self, job: &BatchJob<'_>) -> Result<CompiledOutput, CompileError> {
-        let mut last = None;
-        for _ in 0..=self.retries {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                job.compiler.compile(job.circuit, job.device)
-            }))
-            .unwrap_or_else(|payload| {
-                let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(CompileError::Internal { detail })
-            });
-            match attempt {
-                Ok(output) => return Ok(output),
-                Err(e) => last = Some(e),
+    /// Runs one job through [`compile_isolated`] with the configured retry
+    /// budget.
+    fn compile_with_retries(&self, job: &BatchJob<'_>) -> Result<CompiledOutput, CompileError> {
+        let mut result = compile_isolated(job);
+        for _ in 0..self.retries {
+            if result.is_ok() {
+                break;
             }
+            result = compile_isolated(job);
         }
-        Err(last.expect("at least one attempt always runs"))
+        result
     }
+}
+
+/// Runs one compile attempt behind a `catch_unwind` boundary.  A panic
+/// becomes [`CompileError::Internal`] carrying the panic payload; it never
+/// unwinds into the caller.  The job runs on the calling thread, under
+/// whatever pool it has installed.
+pub fn compile_isolated(job: &BatchJob<'_>) -> Result<CompiledOutput, CompileError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        job.compiler.compile(job.circuit, job.device)
+    }))
+    .unwrap_or_else(|payload| {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(CompileError::Internal { detail })
+    })
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ pub mod scheduling;
 
 pub use twoqan_pool as pool;
 
-pub use batch::{BatchCompiler, BatchJob};
+pub use batch::{compile_isolated, BatchCompiler, BatchJob};
 pub use budget::{CancelToken, CompileBudget, SolverBudget};
 pub use compiler::{TwoQanCompiler, TwoQanConfig};
 pub use error::CompileError;

@@ -332,56 +332,6 @@ impl QapProblem {
         delta
     }
 
-    /// Taillard-style O(1) update of a cached swap delta.
-    ///
-    /// Let `Δ(φ; i, j)` be [`swap_delta`](Self::swap_delta) under assignment
-    /// `φ`.  After a swap of facilities `u` and `v` is *accepted*, turning
-    /// `φ` into `φ'`, the cached delta of any pair `{i, j}` disjoint from
-    /// `{u, v}` can be updated in constant time:
-    ///
-    /// `Δ(φ'; i, j) = Δ(φ; i, j) + (f_iu − f_iv − f_ju + f_jv)·(d_{φ(i)a} −
-    /// d_{φ(i)b} − d_{φ(j)a} + d_{φ(j)b}) + (f_ui − f_vi − f_uj +
-    /// f_vj)·(d_{aφ(i)} − d_{bφ(i)} − d_{aφ(j)} + d_{bφ(j)})`
-    ///
-    /// where `a = φ(u)` and `b = φ(v)` are the locations of `u`/`v` *before*
-    /// the accepted swap.  `assignment` must be the assignment **after** the
-    /// `(u, v)` swap was applied (so `a = assignment[v]`,
-    /// `b = assignment[u]`), which is what a solver naturally has in hand.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `{i, j}` and `{u, v}` are disjoint; for pairs that
-    /// overlap the swapped facilities the delta must be recomputed with
-    /// [`swap_delta`](Self::swap_delta).
-    #[inline]
-    pub fn swap_delta_update(
-        &self,
-        assignment: &[usize],
-        old_delta: f64,
-        i: usize,
-        j: usize,
-        u: usize,
-        v: usize,
-    ) -> f64 {
-        debug_assert!(i != u && i != v && j != u && j != v && i != j);
-        let a = assignment[v]; // φ(u) before the accepted swap
-        let b = assignment[u]; // φ(v) before the accepted swap
-        let (pi, pj) = (assignment[i], assignment[j]);
-        let fi = self.flow_row(i);
-        let fj = self.flow_row(j);
-        let fu = self.flow_row(u);
-        let fv = self.flow_row(v);
-        let di = self.distance_row(pi);
-        let dj = self.distance_row(pj);
-        let da = self.distance_row(a);
-        let db = self.distance_row(b);
-        let row_flow = fi[u] - fi[v] - fj[u] + fj[v];
-        let row_dist = di[a] - di[b] - dj[a] + dj[b];
-        let col_flow = fu[i] - fv[i] - fu[j] + fv[j];
-        let col_dist = da[pi] - db[pi] - da[pj] + db[pj];
-        old_delta + row_flow * row_dist + col_flow * col_dist
-    }
-
     /// A random assignment of facilities to distinct locations.
     pub fn random_assignment<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<usize> {
         let mut locations: Vec<usize> = (0..self.m).collect();
@@ -514,45 +464,6 @@ mod tests {
                         (delta - expected).abs() < 1e-9,
                         "asymmetric delta mismatch ({i},{j}): {delta} vs {expected}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)] // pair indices (i, j) read clearest
-    fn swap_delta_update_matches_recomputation() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for _ in 0..10 {
-            let p = random_problem(8, &mut rng);
-            let mut assignment = p.random_assignment(&mut rng);
-            // Cache deltas for all pairs, then apply a random swap and check
-            // the O(1) update against a fresh O(n) computation.
-            for _ in 0..5 {
-                let u = rng.gen_range(0..8);
-                let mut v = rng.gen_range(0..8);
-                if u == v {
-                    v = (v + 1) % 8;
-                }
-                let mut cached = vec![vec![0.0; 8]; 8];
-                for i in 0..8 {
-                    for j in (i + 1)..8 {
-                        cached[i][j] = p.swap_delta(&assignment, i, j);
-                    }
-                }
-                assignment.swap(u, v);
-                for i in 0..8 {
-                    for j in (i + 1)..8 {
-                        if i == u || i == v || j == u || j == v {
-                            continue;
-                        }
-                        let updated = p.swap_delta_update(&assignment, cached[i][j], i, j, u, v);
-                        let fresh = p.swap_delta(&assignment, i, j);
-                        assert!(
-                            (updated - fresh).abs() < 1e-9,
-                            "update mismatch pair ({i},{j}) after swap ({u},{v}): {updated} vs {fresh}"
-                        );
-                    }
                 }
             }
         }

@@ -507,8 +507,9 @@ pub enum ScanOutcome {
 
 /// Blocked, early-aborting neighbourhood scan over the cached delta table.
 ///
-/// Semantically identical to [`select_best_move_reference`] (same move, same
-/// delta, same tie-breaks) whenever the budget does not expire.  Two filters
+/// Semantically identical to the `reference`-gated
+/// `select_best_move_reference` oracle (same move, same delta, same
+/// tie-breaks) whenever the budget does not expire.  Two filters
 /// cut the scanned volume:
 ///
 /// 1. **Best-bound-first incumbent seeding** — the row with the globally

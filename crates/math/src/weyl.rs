@@ -207,11 +207,6 @@ impl WeylCoordinates {
         }
     }
 
-    /// The coordinates as an array `[c1, c2, c3]`.
-    pub fn as_array(&self) -> [f64; 3] {
-        [self.c1, self.c2, self.c3]
-    }
-
     /// Returns `true` if the coordinates match `other` within `tol`.
     pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
         (self.c1 - other.c1).abs() < tol

@@ -105,7 +105,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use twoqan::pipeline::{CompiledOutput, Compiler, DegradationRung};
-use twoqan::{BatchCompiler, BatchJob, CompileError, CompilePool};
+use twoqan::{compile_isolated, BatchJob, CompileError, CompilePool};
 use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
@@ -538,7 +538,6 @@ pub struct CompileService {
     /// which is the whole point: when drift invalidates an artifact, its
     /// placement is still here to warm-start the recompile.
     placements: Mutex<Lru<PlacementRecord>>,
-    batch: BatchCompiler,
     pool: CompilePool,
     stats: Stats,
 }
@@ -573,8 +572,6 @@ impl CompileService {
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight,
             placements: Mutex::new(Lru::new(config.capacity)),
-            // Runs under the installed service pool: no worker count needed.
-            batch: BatchCompiler::default(),
             pool: CompilePool::new(threads),
             stats: Stats::default(),
         }
@@ -867,8 +864,8 @@ impl CompileService {
     }
 
     /// Runs one leader compile of the pending request through `compiler`
-    /// (the [`BatchCompiler`] supplies panic isolation) and
-    /// times it from the request's arrival.
+    /// (behind [`compile_isolated`]'s panic boundary) and times it from the
+    /// request's arrival.
     fn compile_timed(&self, pending: &Pending<'_>, compiler: &dyn Compiler) -> Timed {
         let queue_wait_ms = ms_since(pending.arrival);
         let compile_start = Instant::now();
@@ -876,15 +873,11 @@ impl CompileService {
         // multi-start restarts reuse the long-lived workers instead of
         // provisioning per request.
         let guard = self.pool.install();
-        let result = self
-            .batch
-            .compile_batch(&[BatchJob {
-                circuit: pending.circuit,
-                device: pending.device,
-                compiler,
-            }])
-            .pop()
-            .expect("one job in, one result out");
+        let result = compile_isolated(&BatchJob {
+            circuit: pending.circuit,
+            device: pending.device,
+            compiler,
+        });
         drop(guard);
         (result, queue_wait_ms, ms_since(compile_start))
     }

@@ -792,59 +792,27 @@ pub fn apply_two_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StateVector;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use twoqan_math::gates;
 
     /// A random normalized state on `n` qubits.
-    fn random_state(n: usize, seed: u64) -> Vec<Complex> {
+    fn random_state(n: usize, seed: u64) -> StateVector {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut amps: Vec<Complex> = (0..1usize << n)
+        let amps: Vec<Complex> = (0..1usize << n)
             .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
             .collect();
         let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-        for a in &mut amps {
-            *a = Complex::new(a.re / norm, a.im / norm);
+        let mut state = StateVector::zero_state(n);
+        for (slot, a) in state.amplitudes_mut().iter_mut().zip(amps) {
+            *slot = Complex::new(a.re / norm, a.im / norm);
         }
-        amps
+        state
     }
 
-    /// Reference single-qubit application (the naive branch-per-index loop).
-    fn naive_single(amps: &mut [Complex], qubit: usize, u: &Matrix2) {
-        let bit = 1usize << qubit;
-        for idx in 0..amps.len() {
-            if idx & bit == 0 {
-                let other = idx | bit;
-                let a0 = amps[idx];
-                let a1 = amps[other];
-                amps[idx] = u.data[0][0] * a0 + u.data[0][1] * a1;
-                amps[other] = u.data[1][0] * a0 + u.data[1][1] * a1;
-            }
-        }
-    }
-
-    /// Reference two-qubit application.
-    fn naive_two(amps: &mut [Complex], qa: usize, qb: usize, u: &Matrix4) {
-        let (ba, bb) = (1usize << qa, 1usize << qb);
-        for idx in 0..amps.len() {
-            if idx & ba == 0 && idx & bb == 0 {
-                let v = [
-                    amps[idx],
-                    amps[idx | bb],
-                    amps[idx | ba],
-                    amps[idx | ba | bb],
-                ];
-                let w = u.mul_vec(v);
-                amps[idx] = w[0];
-                amps[idx | bb] = w[1];
-                amps[idx | ba] = w[2];
-                amps[idx | ba | bb] = w[3];
-            }
-        }
-    }
-
-    fn assert_close(a: &[Complex], b: &[Complex]) {
-        for (x, y) in a.iter().zip(b) {
+    fn assert_close(a: &StateVector, b: &StateVector) {
+        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
             assert!(x.approx_eq(*y, 1e-12), "{x} vs {y}");
         }
     }
@@ -867,11 +835,11 @@ mod tests {
             for q in 0..n {
                 let mut reference = random_state(n, 11);
                 let mut fast = reference.clone();
-                naive_single(&mut reference, q, &m);
-                apply_single_kernel(&mut fast, q, &kernel, 1);
+                reference.apply_single_naive(q, &m);
+                apply_single_kernel(fast.amplitudes_mut(), q, &kernel, 1);
                 assert_close(&fast, &reference);
                 let mut threaded = random_state(n, 11);
-                apply_single_kernel(&mut threaded, q, &kernel, 4);
+                apply_single_kernel(threaded.amplitudes_mut(), q, &kernel, 4);
                 assert_eq!(threaded, fast, "{name} q{q} diverged across thread counts");
             }
         }
@@ -899,11 +867,11 @@ mod tests {
                     }
                     let mut reference = random_state(n, 23);
                     let mut fast = reference.clone();
-                    naive_two(&mut reference, qa, qb, &m);
-                    apply_two_kernel(&mut fast, qa, qb, &kernel, 1);
+                    reference.apply_two_naive(qa, qb, &m);
+                    apply_two_kernel(fast.amplitudes_mut(), qa, qb, &kernel, 1);
                     assert_close(&fast, &reference);
                     let mut threaded = random_state(n, 23);
-                    apply_two_kernel(&mut threaded, qa, qb, &kernel, 3);
+                    apply_two_kernel(threaded.amplitudes_mut(), qa, qb, &kernel, 3);
                     assert_eq!(
                         threaded, fast,
                         "{name} ({qa},{qb}) diverged across thread counts"
@@ -988,21 +956,12 @@ mod tests {
         let mut reference = random_state(4, 5);
         let mut fast = reference.clone();
         for g in c.iter() {
-            if g.is_two_qubit() {
-                naive_two(
-                    &mut reference,
-                    g.qubit0(),
-                    g.qubit1(),
-                    &g.kind.two_qubit_matrix(),
-                );
-            } else {
-                naive_single(&mut reference, g.qubit0(), &g.kind.single_qubit_matrix());
-            }
+            reference.apply_gate_naive(g);
         }
-        compiled.apply(&mut fast, 1);
+        compiled.apply(fast.amplitudes_mut(), 1);
         assert_close(&fast, &reference);
         let mut threaded = random_state(4, 5);
-        compiled.apply(&mut threaded, 8);
+        compiled.apply(threaded.amplitudes_mut(), 8);
         assert_eq!(threaded, fast);
     }
 

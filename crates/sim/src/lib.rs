@@ -13,12 +13,15 @@
 //! shallower circuits) and application performance — which is exactly what a
 //! calibrated depolarizing model yields.
 //!
-//! Gate application runs on the kernelized engine of [`kernels`]:
-//! stride-enumeration kernels with specialized fast paths for the
-//! diagonal / swap-like gate classes that dominate 2QAN workloads, per-kind
-//! matrix caching, and deterministic amplitude-chunk / shot-level
-//! multi-threading (bit-identical results for any thread count).  See
-//! `BENCHMARKS.md` § Simulation for the perf trajectory.
+//! Gate application runs on the kernels of [`kernels`]: stride-enumeration
+//! kernels with specialized fast paths for the diagonal / swap-like gate
+//! classes that dominate 2QAN workloads, per-kind matrix caching, and
+//! deterministic amplitude-chunk / shot-level multi-threading (bit-identical
+//! results for any thread count).  They are the only engine.  The naive
+//! pre-kernel loops they are checked against (`StateVector::apply_*_naive`,
+//! `TrajectorySimulator::naive_expectation`) are test oracles, compiled only
+//! for tests and under the `reference` feature.  See `BENCHMARKS.md`
+//! § Simulation for the perf trajectory.
 
 #![deny(missing_docs)]
 
@@ -33,4 +36,4 @@ pub use kernels::{CompiledCircuit, CompiledOp, SingleKernel, TwoKernel};
 pub use noise::{EspBreakdown, NoiseModel, TargetNoiseModel};
 pub use qaoa_eval::{evaluate_qaoa, optimize_angles, QaoaEvaluation};
 pub use statevector::StateVector;
-pub use trajectories::{IsingCostTable, SimEngine, TrajectorySimulator};
+pub use trajectories::{IsingCostTable, TrajectorySimulator};

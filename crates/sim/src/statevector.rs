@@ -6,14 +6,15 @@
 //! the 4×4 matrix.
 //!
 //! Gate application goes through the stride-enumeration kernels of
-//! [`crate::kernels`]; the original branch-per-index loops are kept as
-//! `*_naive` reference implementations for the correctness property tests
-//! and the before/after entries of `BENCH_sim.json`.
+//! [`crate::kernels`].  The branch-per-index loops they are checked against
+//! are the `apply_*_naive` test oracles, compiled only for tests and under
+//! the crate's `reference` feature (the kernel property tests and the
+//! "before" entries of `BENCH_sim.json`).
 
 use crate::kernels::{
     apply_single_kernel, apply_two_kernel, auto_threads, CompiledCircuit, SingleKernel, TwoKernel,
 };
-use twoqan_circuit::{Circuit, Gate, ScheduledCircuit};
+use twoqan_circuit::{Circuit, ScheduledCircuit};
 use twoqan_math::{Complex, Matrix2, Matrix4};
 
 /// A pure-state simulator for up to ~24 qubits.
@@ -117,73 +118,6 @@ impl StateVector {
         );
     }
 
-    /// Reference implementation of [`Self::apply_single`]: the original
-    /// branch-per-index loop over all `2^n` indices.  Kept for the kernel
-    /// correctness property tests and the naive-engine benchmarks.
-    pub fn apply_single_naive(&mut self, qubit: usize, u: &Matrix2) {
-        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        let bit = 1usize << qubit;
-        for idx in 0..self.amplitudes.len() {
-            if idx & bit == 0 {
-                let other = idx | bit;
-                let a0 = self.amplitudes[idx];
-                let a1 = self.amplitudes[other];
-                self.amplitudes[idx] = u.data[0][0] * a0 + u.data[0][1] * a1;
-                self.amplitudes[other] = u.data[1][0] * a0 + u.data[1][1] * a1;
-            }
-        }
-    }
-
-    /// Reference implementation of [`Self::apply_two`]; see
-    /// [`Self::apply_single_naive`].
-    pub fn apply_two_naive(&mut self, qubit_a: usize, qubit_b: usize, u: &Matrix4) {
-        assert!(
-            qubit_a < self.num_qubits && qubit_b < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qubit_a, qubit_b, "two-qubit gate requires distinct qubits");
-        let bit_a = 1usize << qubit_a;
-        let bit_b = 1usize << qubit_b;
-        for idx in 0..self.amplitudes.len() {
-            if idx & bit_a == 0 && idx & bit_b == 0 {
-                let i00 = idx;
-                let i01 = idx | bit_b;
-                let i10 = idx | bit_a;
-                let i11 = idx | bit_a | bit_b;
-                let v = [
-                    self.amplitudes[i00],
-                    self.amplitudes[i01],
-                    self.amplitudes[i10],
-                    self.amplitudes[i11],
-                ];
-                let w = u.mul_vec(v);
-                self.amplitudes[i00] = w[0];
-                self.amplitudes[i01] = w[1];
-                self.amplitudes[i10] = w[2];
-                self.amplitudes[i11] = w[3];
-            }
-        }
-    }
-
-    /// Applies a circuit-IR gate.
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        if gate.is_two_qubit() {
-            self.apply_two(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
-        } else {
-            self.apply_single(gate.qubit0(), &gate.kind.single_qubit_matrix());
-        }
-    }
-
-    /// Applies a circuit-IR gate through the naive reference loops,
-    /// rebuilding the gate matrix from scratch (the pre-kernel behaviour).
-    pub fn apply_gate_naive(&mut self, gate: &Gate) {
-        if gate.is_two_qubit() {
-            self.apply_two_naive(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
-        } else {
-            self.apply_single_naive(gate.qubit0(), &gate.kind.single_qubit_matrix());
-        }
-    }
-
     /// Applies every gate of a circuit in order (classifying and caching
     /// each distinct gate kind once).  The circuit may act on a register
     /// smaller than this state; every gate qubit must be in range.
@@ -242,22 +176,6 @@ impl StateVector {
             .sum()
     }
 
-    /// Expectation value `⟨Z_q⟩`.
-    pub fn expectation_z(&self, q: usize) -> f64 {
-        let bq = 1usize << q;
-        self.amplitudes
-            .iter()
-            .enumerate()
-            .map(|(idx, amp)| {
-                if idx & bq != 0 {
-                    -amp.norm_sqr()
-                } else {
-                    amp.norm_sqr()
-                }
-            })
-            .sum()
-    }
-
     /// Expectation of an Ising cost function `C = Σ_{(u,v)} Z_u Z_v` over the
     /// given edge list.
     pub fn ising_cost_expectation(&self, edges: &[(usize, usize)]) -> f64 {
@@ -270,10 +188,72 @@ impl StateVector {
     }
 }
 
+/// The pre-kernel gate loops: oracles for the kernel tests and the "before"
+/// column of `bench_sim`.
+#[cfg(any(test, feature = "reference"))]
+impl StateVector {
+    /// Reference implementation of [`Self::apply_single`]: the original
+    /// branch-per-index loop over all `2^n` indices.
+    pub fn apply_single_naive(&mut self, qubit: usize, u: &Matrix2) {
+        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
+        let bit = 1usize << qubit;
+        for idx in 0..self.amplitudes.len() {
+            if idx & bit == 0 {
+                let other = idx | bit;
+                let a0 = self.amplitudes[idx];
+                let a1 = self.amplitudes[other];
+                self.amplitudes[idx] = u.data[0][0] * a0 + u.data[0][1] * a1;
+                self.amplitudes[other] = u.data[1][0] * a0 + u.data[1][1] * a1;
+            }
+        }
+    }
+
+    /// Reference implementation of [`Self::apply_two`]; see
+    /// [`Self::apply_single_naive`].
+    pub fn apply_two_naive(&mut self, qubit_a: usize, qubit_b: usize, u: &Matrix4) {
+        assert!(
+            qubit_a < self.num_qubits && qubit_b < self.num_qubits,
+            "qubit out of range"
+        );
+        assert_ne!(qubit_a, qubit_b, "two-qubit gate requires distinct qubits");
+        let bit_a = 1usize << qubit_a;
+        let bit_b = 1usize << qubit_b;
+        for idx in 0..self.amplitudes.len() {
+            if idx & bit_a == 0 && idx & bit_b == 0 {
+                let i00 = idx;
+                let i01 = idx | bit_b;
+                let i10 = idx | bit_a;
+                let i11 = idx | bit_a | bit_b;
+                let v = [
+                    self.amplitudes[i00],
+                    self.amplitudes[i01],
+                    self.amplitudes[i10],
+                    self.amplitudes[i11],
+                ];
+                let w = u.mul_vec(v);
+                self.amplitudes[i00] = w[0];
+                self.amplitudes[i01] = w[1];
+                self.amplitudes[i10] = w[2];
+                self.amplitudes[i11] = w[3];
+            }
+        }
+    }
+
+    /// Applies a circuit-IR gate through the naive reference loops,
+    /// rebuilding the gate matrix from scratch (the pre-kernel behaviour).
+    pub fn apply_gate_naive(&mut self, gate: &twoqan_circuit::Gate) {
+        if gate.is_two_qubit() {
+            self.apply_two_naive(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
+        } else {
+            self.apply_single_naive(gate.qubit0(), &gate.kind.single_qubit_matrix());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_circuit::GateKind;
+    use twoqan_circuit::{Gate, GateKind};
     use twoqan_math::gates;
 
     #[test]
@@ -292,8 +272,7 @@ mod tests {
         s.apply_single(1, &gates::pauli_x());
         // Qubit 1 is bit 1 → state |10⟩ in bit order = index 2.
         assert!((s.probability(2) - 1.0).abs() < 1e-12);
-        assert!((s.expectation_z(1) + 1.0).abs() < 1e-12);
-        assert!((s.expectation_z(0) - 1.0).abs() < 1e-12);
+        assert!((s.expectation_zz(0, 1) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -305,7 +284,6 @@ mod tests {
         assert!((s.probability(0b00) - 0.5).abs() < 1e-12);
         assert!((s.probability(0b11) - 0.5).abs() < 1e-12);
         assert!((s.expectation_zz(0, 1) - 1.0).abs() < 1e-12);
-        assert!(s.expectation_z(0).abs() < 1e-12);
     }
 
     #[test]
@@ -328,10 +306,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_gate_uses_circuit_ir_kinds() {
+    fn apply_circuit_uses_circuit_ir_kinds() {
         let mut s = StateVector::zero_state(2);
-        s.apply_gate(&Gate::single(GateKind::H, 0));
-        s.apply_gate(&Gate::two(GateKind::Cnot, 0, 1));
+        s.apply_single(0, &gates::hadamard());
+        s.apply_two(0, 1, &gates::cnot());
         assert!((s.expectation_zz(0, 1) - 1.0).abs() < 1e-12);
         let mut t = StateVector::zero_state(2);
         t.apply_circuit(&Circuit::from_gates(

@@ -9,17 +9,17 @@
 //! probability.  Averaging over shots yields a noisy `⟨C⟩` estimate that the
 //! tests compare against the analytic model.
 //!
-//! # Engines and parallelism
+//! # Parallelism
 //!
-//! The default [`SimEngine::Kernelized`] engine classifies the circuit once
-//! ([`CompiledCircuit`]), precomputes the per-gate error probabilities and
-//! the per-basis-state Ising cost table ([`IsingCostTable`]), and replays
-//! shots on a thread pool.  Every shot derives its RNG from a seed pre-drawn
-//! from the sampler's seed and shot values are reduced in shot order, so the
-//! estimate is **bit-identical** for a fixed seed regardless of thread
-//! count.  [`SimEngine::Naive`] preserves the original per-index,
-//! matrix-rebuilding serial implementation as the before/after reference of
-//! `BENCH_sim.json`.
+//! The simulator classifies the circuit once ([`CompiledCircuit`]),
+//! precomputes the per-gate error probabilities and the per-basis-state
+//! Ising cost table ([`IsingCostTable`]), and replays shots on a thread pool.
+//! Every shot derives its RNG from a seed pre-drawn from the sampler's seed
+//! and shot values are reduced in shot order, so the estimate is
+//! **bit-identical** for a fixed seed regardless of thread count.  Its test
+//! oracle, `naive_expectation`, runs serial shots on the naive gate loops;
+//! it is compiled only for tests and under the crate's `reference` feature,
+//! and is the "before" entry of `BENCH_sim.json`.
 
 use crate::kernels::{CompiledCircuit, CompiledOp, SingleKernel};
 use crate::noise::NoiseModel;
@@ -30,18 +30,6 @@ use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::TwoQubitBasis;
 use twoqan_graphs::parallel::run_indexed;
 use twoqan_math::pauli::Pauli;
-
-/// Which gate-application engine a [`TrajectorySimulator`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// Stride-enumeration kernels, per-circuit matrix caching, precomputed
-    /// cost table, optional shot-level parallelism.
-    #[default]
-    Kernelized,
-    /// The pre-kernel reference: branch-per-index loops, matrices rebuilt
-    /// per application, shots strictly serial.
-    Naive,
-}
 
 /// The Ising cost `Σ_{(u,v)} ±1` of every computational basis state,
 /// precomputed once so a shot's read-out reduces to a single weighted pass
@@ -105,11 +93,10 @@ pub struct TrajectorySimulator {
     shots: usize,
     seed: u64,
     parallel: bool,
-    engine: SimEngine,
 }
 
 impl TrajectorySimulator {
-    /// Creates a trajectory simulator (kernelized engine, parallel shots).
+    /// Creates a trajectory simulator (parallel shots).
     pub fn new(noise: NoiseModel, basis: TwoQubitBasis, shots: usize, seed: u64) -> Self {
         Self {
             noise,
@@ -117,7 +104,6 @@ impl TrajectorySimulator {
             shots,
             seed,
             parallel: true,
-            engine: SimEngine::Kernelized,
         }
     }
 
@@ -125,12 +111,6 @@ impl TrajectorySimulator {
     /// bit-identical either way).
     pub fn with_parallel(mut self, parallel: bool) -> Self {
         self.parallel = parallel;
-        self
-    }
-
-    /// Selects the gate-application engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -143,20 +123,14 @@ impl TrajectorySimulator {
     /// `edges` after executing `schedule` starting from `|+⟩^{⊗n}` — the
     /// QAOA setting.  `edges` are given in terms of the *physical* qubits the
     /// logical cost-graph vertices were mapped to.
+    ///
+    /// The circuit is classified once and the shots replay it (optionally in
+    /// parallel) from pre-drawn per-shot seeds.
     pub fn ising_cost_expectation(
         &self,
         schedule: &ScheduledCircuit,
         edges: &[(usize, usize)],
     ) -> f64 {
-        match self.engine {
-            SimEngine::Kernelized => self.kernelized_expectation(schedule, edges),
-            SimEngine::Naive => self.naive_expectation(schedule, edges),
-        }
-    }
-
-    /// The kernelized engine: classify once, replay shots (optionally in
-    /// parallel) from pre-drawn per-shot seeds.
-    fn kernelized_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
         let n = schedule.num_qubits();
         let error_per_native_gate = self.noise.two_qubit_error();
         let readout = self.noise.readout_error();
@@ -219,10 +193,41 @@ impl TrajectorySimulator {
         });
         shot_values.iter().sum::<f64>() / self.shots as f64
     }
+}
 
-    /// The original pre-kernel implementation, kept as the perf-trajectory
-    /// reference ("before" entries in `BENCH_sim.json`).
-    fn naive_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
+/// Applies a uniformly random non-identity two-qubit Pauli error through the
+/// pre-classified Pauli kernels.
+fn inject_random_pauli<R: Rng + ?Sized>(
+    state: &mut StateVector,
+    a: usize,
+    b: usize,
+    pauli_kernels: &[SingleKernel; 4],
+    rng: &mut R,
+) {
+    loop {
+        let pa = rng.gen_range(0..4usize);
+        let pb = rng.gen_range(0..4usize);
+        if pa == 0 && pb == 0 {
+            continue;
+        }
+        if pa != 0 {
+            crate::kernels::apply_single_kernel(state.amplitudes_mut(), a, &pauli_kernels[pa], 1);
+        }
+        if pb != 0 {
+            crate::kernels::apply_single_kernel(state.amplitudes_mut(), b, &pauli_kernels[pb], 1);
+        }
+        return;
+    }
+}
+
+/// The test oracle for [`TrajectorySimulator::ising_cost_expectation`].
+#[cfg(any(test, feature = "reference"))]
+impl TrajectorySimulator {
+    /// The original pre-kernel estimator: serial shots on the naive gate
+    /// loops, one RNG stream, matrices rebuilt per gate.  It draws its random
+    /// numbers in a different order from [`Self::ising_cost_expectation`],
+    /// so the two agree in distribution, and exactly when noiseless.
+    pub fn naive_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let n = schedule.num_qubits();
         let error_per_native_gate = self.noise.two_qubit_error();
@@ -261,32 +266,8 @@ impl TrajectorySimulator {
 }
 
 /// Applies a uniformly random non-identity two-qubit Pauli error through the
-/// pre-classified Pauli kernels.
-fn inject_random_pauli<R: Rng + ?Sized>(
-    state: &mut StateVector,
-    a: usize,
-    b: usize,
-    pauli_kernels: &[SingleKernel; 4],
-    rng: &mut R,
-) {
-    loop {
-        let pa = rng.gen_range(0..4usize);
-        let pb = rng.gen_range(0..4usize);
-        if pa == 0 && pb == 0 {
-            continue;
-        }
-        if pa != 0 {
-            crate::kernels::apply_single_kernel(state.amplitudes_mut(), a, &pauli_kernels[pa], 1);
-        }
-        if pb != 0 {
-            crate::kernels::apply_single_kernel(state.amplitudes_mut(), b, &pauli_kernels[pb], 1);
-        }
-        return;
-    }
-}
-
-/// Applies a uniformly random non-identity two-qubit Pauli error through the
 /// naive reference loops.
+#[cfg(any(test, feature = "reference"))]
 fn inject_random_pauli_naive<R: Rng + ?Sized>(
     state: &mut StateVector,
     a: usize,
@@ -343,11 +324,8 @@ mod tests {
             "trajectories {value} vs exact {exact}"
         );
         assert!(exact < 0.0);
-        // The naive engine agrees on the noiseless value as well.
-        let naive = sim
-            .clone()
-            .with_engine(SimEngine::Naive)
-            .ising_cost_expectation(&schedule, &edges);
+        // The naive oracle agrees on the noiseless value as well.
+        let naive = sim.naive_expectation(&schedule, &edges);
         assert!((naive - exact).abs() < 1e-9);
     }
 
@@ -427,18 +405,16 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_kernelized_engines_agree_statistically() {
+    fn naive_oracle_and_kernelized_estimates_agree_statistically() {
         let (schedule, edges) = ring_schedule(0.6157, std::f64::consts::FRAC_PI_8);
         let noisy_calibration = Calibration {
             two_qubit_error: 0.1,
             ..Calibration::montreal_october_2021()
         };
         let noise = NoiseModel::from_calibration(noisy_calibration);
-        let kernelized = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9)
-            .ising_cost_expectation(&schedule, &edges);
-        let naive = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9)
-            .with_engine(SimEngine::Naive)
-            .ising_cost_expectation(&schedule, &edges);
+        let sim = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9);
+        let kernelized = sim.ising_cost_expectation(&schedule, &edges);
+        let naive = sim.naive_expectation(&schedule, &edges);
         // Different RNG stream layouts, same distribution: the two Monte
         // Carlo estimates must land close together.
         assert!(

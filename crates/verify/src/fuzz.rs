@@ -138,11 +138,6 @@ impl ConformanceReport {
             .fold(0.0, f64::max)
     }
 
-    /// Returns `true` if every case passed.
-    pub fn all_passed(&self) -> bool {
-        self.passed() == self.results.len()
-    }
-
     /// CSV header matching [`CaseResult`] serialisation.
     pub fn csv_header() -> &'static str {
         "case,workload,qubits,app_gates,device,compiler,mode,swaps,dressed_swaps,max_amplitude_error,support_qubits,status"

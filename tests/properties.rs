@@ -18,7 +18,7 @@ use twoqan_repro::twoqan_math::cost::TwoQubitBasisCost;
 use twoqan_repro::twoqan_math::weyl::{MakhlinInvariants, WeylCoordinates};
 use twoqan_repro::twoqan_math::{gates, Matrix4};
 use twoqan_repro::twoqan_sim::kernels::CompiledCircuit;
-use twoqan_repro::twoqan_sim::{SimEngine, TrajectorySimulator};
+use twoqan_repro::twoqan_sim::TrajectorySimulator;
 
 /// Runs `property` over `cases` independent random cases drawn from a
 /// deterministically seeded generator.
@@ -446,16 +446,13 @@ fn trajectory_sampling_is_bit_identical_across_thread_modes() {
             parallel.to_bits(),
             "trajectories diverged across thread modes for seed {seed}"
         );
-        // And the naive engine stays statistically consistent with the
-        // kernelized one on the noiseless model (identical state up to
-        // floating-point reassociation).
+        // And the naive oracle agrees with the kernelized estimate on the
+        // noiseless model (identical state up to floating-point
+        // reassociation).
         let noiseless =
             TrajectorySimulator::new(NoiseModel::noiseless(), TwoQubitBasis::Cnot, 2, 3);
         let a = noiseless.ising_cost_expectation(&schedule, &edges);
-        let b = noiseless
-            .clone()
-            .with_engine(SimEngine::Naive)
-            .ising_cost_expectation(&schedule, &edges);
+        let b = noiseless.naive_expectation(&schedule, &edges);
         assert!((a - b).abs() < 1e-9, "kernelized {a} vs naive {b}");
     });
 }
